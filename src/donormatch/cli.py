@@ -275,7 +275,11 @@ def cmd_sweep(args) -> int:
         _info(f"input error: {err}")
         return 2
     s = _ensure_normalization(s, args.seed, MODE_FIXED)
-    rows = sweep_rows(s, gammas, args.trials, args.seed)
+    try:
+        rows = sweep_rows(s, gammas, args.trials, args.seed)
+    except ValueError as err:
+        _info(f"sweep failed: {err}")
+        return 1
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "sweep.csv")

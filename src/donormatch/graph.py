@@ -94,10 +94,6 @@ class Scenario:
         return {v.id: i for i, v in enumerate(self.recipients)}
 
     @cached_property
-    def edge_lookup(self) -> Dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def edge_donor(self) -> np.ndarray:
         """Donor index of each edge."""
         return np.array([self.donor_index[e[0]] for e in self.edges], dtype=np.int64)
@@ -407,29 +403,6 @@ def donor_max_degree(s: Scenario) -> int:
     if not s.donors:
         return 0
     return max(len(es) for es in s.donor_edges)
-
-
-def available_edges(
-    s: Scenario,
-    u: str,
-    t: int,
-    r: DemandRealization,
-    donor_available: bool = True,
-) -> List[Edge]:
-    """Edges of donor u whose recipient is available at step t under r.
-
-    Returns the empty list when ``donor_available`` is false. Raises
-    ValueError for t outside 1..T.
-    """
-    if not 1 <= t <= s.horizon:
-        raise ValueError(f"t={t} outside 1..{s.horizon}")
-    if not donor_available:
-        return []
-    ui = s.donor_index[u]
-    avail = r.available[:, t - 1]
-    return [
-        s.edges[e] for e in s.donor_edges[ui] if avail[s.edge_recipient[e]] == 1
-    ]
 
 
 def outcome_from_matches(

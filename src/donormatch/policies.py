@@ -1,33 +1,31 @@
 """Notification policies.
 
-Two families live here. The myopic deciders (rand and max, with randmax
+Two families live here. The myopic rules (rand and max, with randmax
 mixing the two) look only at the edges available right now and answer
 one question: which edge, if any, does donor u match at step t. The
 plan-based policies commit in advance: an LP solution is sampled into a
 PreMatchPlan assigning at most one edge per donor per step, and at run
 time the pre-matched edge is used exactly when its recipient shows up.
 AdaptMatch executes a plan but falls back to the myopic mixture when the
-pre-match misses.
+pre-match misses. One array kernel, ``_match_edges``, applies every rule
+to whole batches of trials; the simulator and ``estimate_beta`` share it.
 
-Every function takes the generator it should draw from; nothing here
-seeds or splits streams. The simulator owns stream layout so that trials
-are reproducible and donors can be visited in any order.
+Every function takes the generator or uniforms it should draw from;
+nothing here seeds or splits streams. The simulator owns stream layout so
+that trials are reproducible and donors can be visited in any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from .graph import (
     MODE_FIXED,
     MODE_RATE,
-    DemandRealization,
-    Edge,
     Scenario,
-    available_edges,
     donor_max_degree,
 )
 from .solver import (
@@ -40,6 +38,13 @@ from .solver import (
 KINDS = ("rand", "max", "randmax", "nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
 _PLAN_KINDS = ("nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
 _ALPHA_KINDS = ("nadaplp", "nadaplp_rate")
+# Kinds that decide on the spot and so read per-cell decision uniforms.
+DRAW_KINDS = ("rand", "max", "randmax", "adaptmatch")
+
+# Trials the simulator hands _match_edges at once: enough to spread
+# numpy's per-call cost, few enough that the kernel's (trials, cells,
+# degree) work arrays stay a few MB at bundled-city scale.
+TRIAL_CHUNK = 16
 
 # Slack allowed on a pre-match distribution's total mass before the plan
 # is rejected as invalid; covers LP feasibility noise, nothing more.
@@ -153,61 +158,12 @@ class PreMatchPlan:
 
     assignment: np.ndarray
 
-    def as_dict(self, s: Scenario) -> Dict[Tuple[str, int], Edge]:
-        out = {}
-        for ui, d in enumerate(s.donors):
-            for tau in range(s.horizon):
-                e = int(self.assignment[ui, tau])
-                if e >= 0:
-                    out[(d.id, tau + 1)] = s.edges[e]
-        return out
-
 
 @dataclass(frozen=True)
 class BetaEstimate:
     """Estimated availability probabilities beta_ut, shape (U, T)."""
 
     beta: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# myopic deciders
-
-
-def rand_decide(
-    s: Scenario, u: str, t: int, r: DemandRealization, rng: np.random.Generator
-) -> Optional[Edge]:
-    """Uniform choice among the donor's available edges; None if none."""
-    edges = available_edges(s, u, t, r)
-    if not edges:
-        return None
-    return edges[int(rng.integers(len(edges)))]
-
-
-def max_decide(
-    s: Scenario, u: str, t: int, r: DemandRealization, rng: np.random.Generator
-) -> Optional[Edge]:
-    """Max-weight available edge, ties broken uniformly; None if none."""
-    edges = available_edges(s, u, t, r)
-    if not edges:
-        return None
-    w = np.array([s.weights[s.edge_lookup[e], t - 1] for e in edges])
-    ties = np.flatnonzero(w == w.max())
-    return edges[int(ties[int(rng.integers(ties.size))])]
-
-
-def randmax_decide(
-    s: Scenario,
-    u: str,
-    t: int,
-    r: DemandRealization,
-    gamma: float,
-    rng: np.random.Generator,
-) -> Optional[Edge]:
-    """With probability gamma act like rand_decide, otherwise max_decide."""
-    if rng.random() < gamma:
-        return rand_decide(s, u, t, r, rng)
-    return max_decide(s, u, t, r, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +187,7 @@ def nadaplp_plan(
         lp = solve_fixedtime_lp(s, gamma)
     probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
     _check_valid(s, probs, "nadaplp")
-    return PreMatchPlan(_draw_assignment(s, probs, rng))
+    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
 
 
 def nadapopt_plan(
@@ -244,36 +200,7 @@ def nadapopt_plan(
     if lp is None:
         lp = solve_nadapopt_lp(s, gamma)
     probs = np.clip(lp.x, 0.0, None)
-    return PreMatchPlan(_draw_assignment(s, probs, rng))
-
-
-def execute_prematch(
-    s: Scenario, plan: PreMatchPlan, u: str, t: int, r: DemandRealization
-) -> Optional[Edge]:
-    """The pre-matched edge at (u, t) if its recipient showed up, else None."""
-    e = int(plan.assignment[s.donor_index[u], t - 1])
-    if e < 0:
-        return None
-    avail = np.asarray(r.available)
-    if not avail[s.edge_recipient[e], t - 1]:
-        return None
-    return s.edges[e]
-
-
-def adaptmatch_decide(
-    s: Scenario,
-    plan: PreMatchPlan,
-    u: str,
-    t: int,
-    r: DemandRealization,
-    gamma: float,
-    rng: np.random.Generator,
-) -> Optional[Edge]:
-    """Pre-matched edge when it lands; otherwise the randmax fallback."""
-    pre = execute_prematch(s, plan, u, t, r)
-    if pre is not None:
-        return pre
-    return randmax_decide(s, u, t, r, gamma, rng)
+    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
 
 
 def estimate_beta(
@@ -315,8 +242,13 @@ def estimate_beta(
     for _ in range(max(1, rounds)):
         probs = base / np.maximum(beta[s.edge_donor], 1e-12)
         probs = _scale_to_valid(s, probs)
-        empirical = _availability_frequency(s, probs, trials, rng)
-        beta = np.maximum(empirical, floor)
+        plans = _draw_assignment(s, probs, rng.random((trials, s.n_donors, s.horizon)))
+        arrivals = rng.random((trials, s.n_recipients, s.horizon)) < s.availability
+        hit = _match_edges(s, MODE_RATE, "nadaplp_rate", 0.0, arrivals, plans, None) >= 0
+        blocked = np.zeros_like(hit)
+        for lag in range(1, s.rate_limit):
+            blocked[..., lag:] |= hit[..., :-lag]
+        beta = np.maximum((~blocked).sum(axis=0) / float(trials), floor)
         beta[:, 0] = 1.0
     return BetaEstimate(beta)
 
@@ -340,7 +272,7 @@ def nadaplp_rate_plan(
     probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
     probs = probs / np.maximum(beta.beta[s.edge_donor], 1e-12)
     _check_valid(s, probs, "nadaplp_rate")
-    return PreMatchPlan(_draw_assignment(s, probs, rng))
+    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,54 +311,94 @@ def _scale_to_valid(s: Scenario, probs: np.ndarray) -> np.ndarray:
     return probs * scale[s.edge_donor]
 
 
-def _draw_assignment(
-    s: Scenario, probs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _edge_table(s: Scenario) -> np.ndarray:
+    """(U, D) table of each donor's edges in edge order, -1 past its degree."""
+    table = np.full((s.n_donors, donor_max_degree(s)), -1, dtype=np.int64)
+    for ui, eu in enumerate(s.donor_edges):
+        table[ui, : eu.size] = eu
+    return table
+
+
+def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One categorical draw per (donor, step) from per-edge probabilities.
 
-    Consumes exactly one uniform per (donor, step) regardless of degree,
-    drawn as a single (U, T) block, so two plans built from generators in
-    the same state land on the same assignments wherever their
-    probabilities agree.
+    ``uniforms`` holds one number per (donor, step), shape (..., U, T)
+    with any leading trial axes. A cell takes the first of its donor's
+    edges whose running probability total exceeds the cell's number, or
+    -1 when none does, so two plans drawn from the same uniforms land on
+    the same assignments wherever their probabilities agree.
     """
-    uniforms = rng.random((s.n_donors, s.horizon))
-    assignment = np.full((s.n_donors, s.horizon), -1, dtype=np.int64)
-    for ui in range(s.n_donors):
-        eu = s.donor_edges[ui]
-        if eu.size == 0:
-            continue
-        cum = np.cumsum(probs[eu, :], axis=0)
-        hit = uniforms[ui] < cum
-        first = np.argmax(hit, axis=0)
-        chosen = hit.any(axis=0)
-        assignment[ui, chosen] = eu[first[chosen]]
-    return assignment
+    table = _edge_table(s)
+    if table.shape[1] == 0:
+        return np.full(uniforms.shape, -1, dtype=np.int64)
+    cum = np.cumsum(np.where(table[..., None] >= 0, probs[table], 0.0), axis=1)
+    hit = uniforms[..., None, :] < cum
+    edge = table[np.arange(s.n_donors)[:, None], np.argmax(hit, axis=-2)]
+    return np.where(hit.any(axis=-2), edge, -1)
 
 
-def _availability_frequency(
-    s: Scenario, probs: np.ndarray, trials: int, rng: np.random.Generator
+def _match_edges(
+    s: Scenario,
+    mode: str,
+    kind: str,
+    gamma: float,
+    available: np.ndarray,
+    assignment: Optional[np.ndarray],
+    uniforms: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Fraction of simulated runs with donor u unblocked at step t."""
-    U, V, T, K = s.n_donors, s.n_recipients, s.horizon, s.rate_limit
-    uniforms = rng.random((trials, U, T))
-    arrivals = rng.random((trials, V, T)) < s.availability[None, :, :]
-    free_count = np.zeros((U, T))
-    blocked = np.zeros((trials, U), dtype=np.int64)
-    for tau in range(T):
-        free = blocked == 0
-        free_count[:, tau] = free.sum(axis=0)
-        matched = np.zeros((trials, U), dtype=bool)
-        for ui in range(U):
-            eu = s.donor_edges[ui]
-            if eu.size == 0:
-                continue
-            cum = np.cumsum(probs[eu, tau])
-            pick = np.searchsorted(cum, uniforms[:, ui, tau], side="right")
-            cand = np.flatnonzero(free[:, ui] & (pick < eu.size))
-            if cand.size == 0:
-                continue
-            v_of = s.edge_recipient[eu[pick[cand]]]
-            matched[cand, ui] = arrivals[cand, v_of, tau]
-        blocked = np.maximum(blocked - 1, 0)
-        blocked[matched] = K - 1
-    return free_count / float(trials)
+    """Matched edge index per (trial, donor, step), -1 for no match.
+
+    ``available`` holds n trials' recipient realizations as booleans,
+    shape (n, V, T). Plan kinds read ``assignment``, the trials' (n, U, T)
+    pre-matched edges; DRAW_KINDS read ``uniforms``, shape (n, U, T, 2).
+    Cell (u, t) decides from its own entries alone:
+
+    - a plan kind takes the pre-matched edge when its recipient is up;
+    - the myopic rule flips ``uniforms[.., u, t, 0] < coin``, where the
+      coin is 1 for rand, 0 for max and ``gamma`` otherwise (adaptmatch
+      passes its fallback gamma). Heads, every available edge is a
+      candidate; tails, the available edges of largest weight. Of the n
+      candidates in edge order it takes number
+      min(floor(uniforms[.., u, t, 1] * n), n - 1);
+    - adaptmatch takes the pre-matched edge when it lands, else the
+      myopic pick.
+
+    Fixed-time mode decides the scheduled cells only. Rate-limited mode
+    walks the steps in order and drops a donor's decisions for the K - 1
+    steps after each of its matches.
+    """
+    n, U, T = available.shape[0], s.n_donors, s.horizon
+    matched = np.full((n, U, T), -1, dtype=np.int64)
+    if s.n_edges == 0:
+        return matched
+    if mode == MODE_FIXED:
+        cu, ct = np.nonzero(s.donor_schedule)
+    else:
+        cu, ct = np.divmod(np.arange(U * T), T)
+    choice = np.full((n, cu.size), -1, dtype=np.int64)
+    if kind in _PLAN_KINDS:
+        planned = assignment[:, cu, ct]
+        up = available[np.arange(n)[:, None], s.edge_recipient[planned], ct]
+        choice = np.where((planned >= 0) & up, planned, -1)
+    if kind in DRAW_KINDS:
+        coin = {"rand": 1.0, "max": 0.0}.get(kind, gamma)
+        draws = uniforms[:, cu, ct]
+        table = _edge_table(s)[cu]
+        edge = np.maximum(table, 0)
+        open_ = available[:, s.edge_recipient[edge], ct[:, None]] & (table >= 0)
+        w = np.where(open_, s.weights[edge, ct[:, None]], -np.inf)
+        heaviest = open_ & (w == w.max(axis=-1, keepdims=True))
+        cand = np.where((draws[..., 0] < coin)[..., None], open_, heaviest)
+        count = cand.sum(axis=-1)
+        k = np.minimum((draws[..., 1] * count).astype(np.int64), count - 1)
+        slot = np.argmax(np.cumsum(cand, axis=-1) > k[..., None], axis=-1)
+        pick = np.where(count > 0, table[np.arange(cu.size), slot], -1)
+        choice = np.where(choice >= 0, choice, pick)
+    matched[:, cu, ct] = choice
+    if mode == MODE_RATE:
+        next_free = np.zeros((n, U), dtype=np.int64)
+        for tau in range(T):
+            step = matched[:, :, tau]
+            step[tau < next_free] = -1
+            next_free[step >= 0] = tau + s.rate_limit
+    return matched

@@ -1,7 +1,7 @@
 """Time-stepped simulation driver.
 
-Walks the horizon step by step, asks the policy for a decision per
-available donor, and aggregates Monte Carlo statistics over trials.
+Runs policies over the horizon through the decision kernel in
+``policies`` and aggregates Monte Carlo statistics over trials.
 
 Randomness is laid out so that runs are reproducible and trials are
 independent of evaluation order. The master generator is consumed
@@ -11,43 +11,41 @@ Each trial then owns counter-separated streams derived from its key:
 
     plan draw          counter [0, 0, 0, 1]
     realization draw   counter [0, 0, 0, 2]
-    decisions          counter [0, 0, 0, 3], re-keyed per (donor, step)
+    decisions          counter [0, 0, 0, 3]
 
-The decision stream is itself only used to draw a per-trial key; each
-(donor, step) cell gets its own generator keyed by it with the cell id
-in the counter, so visiting donors in a different order cannot change
-any decision.
+The decision stream gives each trial one (U, T, 2) block of uniforms,
+drawn only by the kinds that decide on the spot (rand, max, randmax,
+adaptmatch). Cell (u, t) reads ``[u, t, 0:2]``, a coin and a pick, and
+nothing else, so visiting donors in a different order cannot change any
+decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .graph import (
     MODE_FIXED,
-    MODE_RATE,
     DemandRealization,
     MatchingOutcome,
     Scenario,
     outcome_from_matches,
 )
 from .policies import (
+    DRAW_KINDS,
+    TRIAL_CHUNK,
     BetaEstimate,
     PolicySpec,
     PreMatchPlan,
-    adaptmatch_decide,
+    _match_edges,
     default_alpha,
     estimate_beta,
-    execute_prematch,
-    max_decide,
     nadaplp_plan,
     nadaplp_rate_plan,
     nadapopt_plan,
-    rand_decide,
-    randmax_decide,
 )
 from .solver import (
     LpSolution,
@@ -102,8 +100,8 @@ def _trial_key(rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return rng.integers(1 << 63, size=(n, 2), dtype=np.uint64)
 
 
-def _stream(key: np.ndarray, block: int, cell: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, cell, block]))
+def _stream(key: np.ndarray, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, block]))
 
 
 def run_policy(
@@ -118,44 +116,42 @@ def run_policy(
 
     Fixed-time mode lets a donor act exactly on its scheduled days;
     rate-limited mode lets it act whenever at least K steps have passed
-    since its last match. Plan-based kinds require ``plan``.
+    since its last match. Plan-based kinds require ``plan``; rng is the
+    trial's decision stream.
     """
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
-    key = rng.integers(1 << 63, size=2, dtype=np.uint64)
-
-    matched: Dict[int, List] = {}
-    next_free = np.ones(s.n_donors, dtype=np.int64)  # earliest step donor may act
-    for t in range(1, s.horizon + 1):
-        for ui, donor in enumerate(s.donors):
-            if policy.mode == MODE_FIXED:
-                if not s.donor_schedule[ui, t - 1]:
-                    continue
-            elif t < next_free[ui]:
-                continue
-            edge = _decide(s, policy, plan, donor.id, t, r, key, ui)
-            if edge is None:
-                continue
-            matched.setdefault(t, []).append(edge)
-            if policy.mode == MODE_RATE:
-                next_free[ui] = t + s.rate_limit
-    outcome = outcome_from_matches(s, matched)
-    return TrialResult(outcome=outcome, seed=seed, policy=policy)
+    matched = _match_trials(s, policy, [r], [plan], [rng])
+    return _trial_result(s, policy, matched[0], seed)
 
 
-def _decide(s, policy, plan, uid, t, r, key, ui):
-    kind = policy.kind
-    if kind in ("nadaplp", "nadapopt", "nadaplp_rate"):
-        return execute_prematch(s, plan, uid, t, r)
-    cell = _stream(key, _CTR_DECIDE, cell=ui * s.horizon + (t - 1))
-    if kind == "rand":
-        return rand_decide(s, uid, t, r, cell)
-    if kind == "max":
-        return max_decide(s, uid, t, r, cell)
-    if kind == "randmax":
-        return randmax_decide(s, uid, t, r, policy.gamma, cell)
-    fallback = policy.fallback_gamma if policy.fallback_gamma is not None else policy.gamma
-    return adaptmatch_decide(s, plan, uid, t, r, fallback, cell)
+def _match_trials(
+    s: Scenario,
+    policy: PolicySpec,
+    realizations: Sequence[DemandRealization],
+    plans: Sequence[Optional[PreMatchPlan]],
+    streams: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """(n, U, T) matched edge indices of n trials, one stream each."""
+    assignment = uniforms = None
+    if policy.needs_plan:
+        assignment = np.stack([p.assignment for p in plans])
+    if policy.kind in DRAW_KINDS:
+        uniforms = np.stack([g.random((s.n_donors, s.horizon, 2)) for g in streams])
+    coin = policy.gamma if policy.fallback_gamma is None else policy.fallback_gamma
+    available = np.stack([np.asarray(r.available) != 0 for r in realizations])
+    return _match_edges(s, policy.mode, policy.kind, coin, available, assignment, uniforms)
+
+
+def _trial_result(
+    s: Scenario, policy: PolicySpec, matched: np.ndarray, seed: int
+) -> TrialResult:
+    """TrialResult of one trial's (U, T) matched edge indices."""
+    per_step = {
+        tau + 1: [s.edges[e] for e in col if e >= 0]
+        for tau, col in enumerate(matched.T.tolist())
+    }
+    return TrialResult(outcome=outcome_from_matches(s, per_step), seed=seed, policy=policy)
 
 
 def estimate_normalization(
@@ -239,28 +235,38 @@ def monte_carlo_evaluate(
     match_counts = np.zeros((s.n_edges, s.horizon))
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
-    for i in range(trials):
-        r = fixed_r
-        if r is None:
-            r = draw_realization(s, _stream(keys[i], _CTR_REALIZATION))
-        plan = None
-        if policy.needs_plan:
-            plan_rng = _stream(keys[i], _CTR_PLAN)
-            if policy.kind == "nadaplp":
-                plan = nadaplp_plan(s, policy.gamma, alpha, plan_rng, lp=lp)
-            elif policy.kind == "nadaplp_rate":
-                plan = nadaplp_rate_plan(s, policy.gamma, alpha, beta, plan_rng, lp=lp)
-            else:
-                plan = nadapopt_plan(s, policy.gamma, plan_rng, lp=lp)
-        tr = run_policy(s, policy, r, _stream(keys[i], _CTR_DECIDE), plan=plan, seed=i)
-        totals[i] = tr.outcome.total_weight
-        for vid, y in tr.outcome.recipient_weight.items():
-            recip[i, s.recipient_index[vid]] = y
-        for t, edges in tr.outcome.matched.items():
-            for e in edges:
-                match_counts[s.edge_lookup[e], t - 1] += 1
+    def plan_of(key):
+        plan_rng = _stream(key, _CTR_PLAN)
+        if policy.kind == "nadaplp":
+            return nadaplp_plan(s, policy.gamma, alpha, plan_rng, lp=lp)
+        if policy.kind == "nadaplp_rate":
+            return nadaplp_rate_plan(s, policy.gamma, alpha, beta, plan_rng, lp=lp)
+        return nadapopt_plan(s, policy.gamma, plan_rng, lp=lp)
+
+    for lo in range(0, trials, TRIAL_CHUNK):
+        chunk = keys[lo : lo + TRIAL_CHUNK]
+        rows = slice(lo, lo + len(chunk))
+        if fixed_r is None:
+            realizations = [draw_realization(s, _stream(k, _CTR_REALIZATION)) for k in chunk]
+        else:
+            realizations = [fixed_r] * len(chunk)
+        matched = _match_trials(
+            s,
+            policy,
+            realizations,
+            [plan_of(k) if policy.needs_plan else None for k in chunk],
+            [_stream(k, _CTR_DECIDE) for k in chunk],
+        )
+        # Matches in (trial, step, donor) order, the order in which
+        # outcome_from_matches adds up each recipient's weight, and totals
+        # summed over recipients as it does, so results keep their bits.
+        i, tau, ui = np.nonzero(matched.transpose(0, 2, 1) >= 0)
+        e = matched[i, ui, tau]
+        np.add.at(recip, (lo + i, s.edge_recipient[e]), s.weights[e, tau])
+        np.add.at(match_counts, (e, tau), 1.0)
+        totals[rows] = [sum(y) for y in recip[rows].tolist()]
         if kept is not None:
-            kept.append(tr)
+            kept += [_trial_result(s, policy, m, lo + j) for j, m in enumerate(matched)]
 
     mean_recip = recip.mean(axis=0)
     se_recip = _std_err(recip)

@@ -67,8 +67,7 @@ def solve_offline_opt(
     want of a solution; gamma > 0 requires positive normalization scores.
     """
     _check_inputs(s, gamma)
-    avail = _realized(s, r)
-    ce, ct = _cells(s, avail[s.edge_recipient], scheduled=True)
+    ce, ct = _cells(s, _realized(s, r), scheduled=True)
     cost = s.weights[ce, ct]
     pack = _donor_step_groups(s, ce, ct)
     return _solve_cells(
@@ -126,8 +125,7 @@ def solve_ratelimit_opt(
     availability pattern.
     """
     _check_inputs(s, gamma)
-    avail = _realized(s, r)
-    ce, ct = _cells(s, avail[s.edge_recipient], scheduled=False)
+    ce, ct = _cells(s, _realized(s, r), scheduled=False)
     cost = s.weights[ce, ct]
     pack = _window_groups(s, ce, ct)
     return _solve_cells(
@@ -174,10 +172,8 @@ def _realized(s: Scenario, r: DemandRealization) -> np.ndarray:
 def _cells(
     s: Scenario, recipient_ok: np.ndarray, scheduled: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Active (edge, step) pairs as parallel index arrays."""
-    mask = np.asarray(recipient_ok, dtype=bool)
-    if mask.shape != (s.n_edges, s.horizon):
-        mask = mask[s.edge_recipient]
+    """Active (edge, step) pairs, given the (V, T) mask of usable recipients."""
+    mask = np.asarray(recipient_ok, dtype=bool)[s.edge_recipient]
     if scheduled:
         mask = mask & (s.donor_schedule[s.edge_donor] != 0)
     return np.nonzero(mask)

@@ -10,7 +10,14 @@ import pytest
 
 from conftest import two_recipient_instance
 from donormatch.cli import main
-from donormatch.graph import load_scenario, save_scenario, validate_scenario
+from donormatch.graph import (
+    Donor,
+    Recipient,
+    build_scenario,
+    load_scenario,
+    save_scenario,
+    validate_scenario,
+)
 from donormatch.policies import PolicySpec
 from donormatch.simulate import monte_carlo_evaluate
 from donormatch.synthgen import generate_city, load_bundled_config
@@ -194,6 +201,30 @@ def test_sweep_rejects_the_rate_mode_and_bad_gammas(tiny, tmp_path):
     assert main(["sweep", str(tiny), "--mode", "rate", "--out-dir", str(tmp_path)]) == 2
     assert main(["sweep", str(tiny), "--gammas", "1.5", "--out-dir", str(tmp_path)]) == 2
     assert main(["sweep", str(tiny), "--gammas", ",", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys):
+    # B's only edge is never available, so its estimated score is 0 and
+    # every gamma > 0 formulation refuses the scenario.
+    path = tmp_path / "dead.json"
+    save_scenario(
+        build_scenario(
+            donors=[Donor("u", 0.0, 0.0)],
+            recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.0, 0.1, kind="dynamic")],
+            edges=[("u", "A"), ("u", "B")],
+            weights=[0.9, 1.0],
+            availability={"B": 0.0},
+            horizon=1,
+            rate_limit=1,
+        ),
+        path,
+    )
+    argv = ["sweep", str(path), "--gammas", "0,0.5", "--trials", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("sweep failed:")]
+    assert len(failed) == 1 and "normalization" in failed[0]
+    assert not any(line.startswith("Traceback") for line in err)
 
 
 # ---------------------------------------------------------------------------

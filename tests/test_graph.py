@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import all_ones_realization, random_instance, two_recipient_instance
 from donormatch.graph import (
@@ -10,7 +9,6 @@ from donormatch.graph import (
     Donor,
     MatchingOutcome,
     Recipient,
-    available_edges,
     build_scenario,
     donor_max_degree,
     fixed_schedule,
@@ -110,31 +108,6 @@ def test_donor_max_degree_cases():
         rate_limit=1,
     )
     assert donor_max_degree(empty) == 0
-
-
-def test_available_edges_filters_by_realization():
-    s = two_recipient_instance()
-    r = DemandRealization(np.array([[1], [0]], dtype=np.int8))
-    assert available_edges(s, "u", 1, r) == [("u", "A")]
-    assert available_edges(s, "u", 1, r, donor_available=False) == []
-    r_all = all_ones_realization(s)
-    assert available_edges(s, "u", 1, r_all) == [("u", "A"), ("u", "B")]
-    with pytest.raises(ValueError):
-        available_edges(s, "u", 2, r)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_available_edges_subset_of_donor_edges(seed):
-    rng = np.random.default_rng(seed)
-    s = random_instance(rng)
-    r = DemandRealization(
-        (rng.random((s.n_recipients, s.horizon)) < 0.6).astype(np.int8)
-    )
-    for d in s.donors:
-        t = int(rng.integers(1, s.horizon + 1))
-        got = set(available_edges(s, d.id, t, r))
-        assert got <= {e for e in s.edges if e[0] == d.id}
 
 
 def test_outcome_builder_and_validator_accept_valid():

@@ -1,4 +1,4 @@
-"""Policies: parsing, decide distributions, plan sampling, beta estimates."""
+"""Policies: parsing, decision distributions, plan sampling, beta estimates."""
 
 from __future__ import annotations
 
@@ -25,17 +25,13 @@ from donormatch.graph import (
 from donormatch.policies import (
     PolicySpec,
     PreMatchPlan,
-    adaptmatch_decide,
     estimate_beta,
-    execute_prematch,
-    max_decide,
     nadaplp_plan,
     nadaplp_rate_plan,
     nadapopt_plan,
     parse_policy,
-    rand_decide,
-    randmax_decide,
 )
+from donormatch.simulate import run_policy
 from donormatch.solver import (
     FIXEDTIME_LP,
     RATELIMIT_LP,
@@ -106,7 +102,13 @@ def test_spec_validates_parameters_and_mode_pairing():
 
 
 # ---------------------------------------------------------------------------
-# myopic deciders
+# myopic decisions, one donor at one step
+
+
+def decide(s, policy, r, rng, plan=None):
+    """The edge the donor matches in one run of the policy, or None."""
+    matched = run_policy(s, policy, r, rng, plan=plan).outcome.matched
+    return matched[1][0] if matched else None
 
 
 def test_rand_decide_is_uniform_over_available_edges():
@@ -114,7 +116,7 @@ def test_rand_decide_is_uniform_over_available_edges():
     r = all_ones_realization(s)
     rng = np.random.default_rng(7)
     n = 10_000
-    hits_a = sum(rand_decide(s, "u", 1, r, rng) == ("u", "A") for _ in range(n))
+    hits_a = sum(decide(s, PolicySpec("rand"), r, rng) == ("u", "A") for _ in range(n))
     se = np.sqrt(0.25 / n)
     assert abs(hits_a / n - 0.5) < 3 * se
 
@@ -123,7 +125,7 @@ def test_max_decide_takes_the_heavier_edge():
     s = two_recipient_instance()
     r = all_ones_realization(s)
     rng = np.random.default_rng(7)
-    assert all(max_decide(s, "u", 1, r, rng) == ("u", "B") for _ in range(100))
+    assert all(decide(s, PolicySpec("max"), r, rng) == ("u", "B") for _ in range(100))
 
 
 def test_max_decide_breaks_ties_uniformly():
@@ -132,7 +134,7 @@ def test_max_decide_breaks_ties_uniformly():
     r = all_ones_realization(s)
     rng = np.random.default_rng(7)
     n = 10_000
-    hits_a = sum(max_decide(s, "u", 1, r, rng) == ("u", "A") for _ in range(n))
+    hits_a = sum(decide(s, PolicySpec("max"), r, rng) == ("u", "A") for _ in range(n))
     se = np.sqrt(0.25 / n)
     assert abs(hits_a / n - 0.5) < 3 * se
 
@@ -144,9 +146,8 @@ def test_randmax_mixture_hits_the_expected_weights():
     r = all_ones_realization(s)
     rng = np.random.default_rng(11)
     n = 10_000
-    hits_a = sum(
-        randmax_decide(s, "u", 1, r, 0.4, rng) == ("u", "A") for _ in range(n)
-    )
+    spec = PolicySpec("randmax", gamma=0.4)
+    hits_a = sum(decide(s, spec, r, rng) == ("u", "A") for _ in range(n))
     freq_a = hits_a / n
     se = np.sqrt(0.2 * 0.8 / n)
     assert abs(freq_a - 0.2) < 3 * se
@@ -158,12 +159,13 @@ def test_deciders_respect_the_realization():
     s = two_recipient_instance()
     only_b = DemandRealization(np.array([[0], [1]], dtype=np.int8))
     nobody = DemandRealization(np.zeros((2, 1), dtype=np.int8))
+    rand, randmax = PolicySpec("rand"), PolicySpec("randmax", gamma=1.0)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        assert rand_decide(s, "u", 1, only_b, rng) == ("u", "B")
-        assert randmax_decide(s, "u", 1, only_b, 1.0, rng) == ("u", "B")
-        assert rand_decide(s, "u", 1, nobody, rng) is None
-        assert max_decide(s, "u", 1, nobody, rng) is None
+        assert decide(s, rand, only_b, rng) == ("u", "B")
+        assert decide(s, randmax, only_b, rng) == ("u", "B")
+        assert decide(s, rand, nobody, rng) is None
+        assert decide(s, PolicySpec("max"), nobody, rng) is None
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +248,11 @@ def test_execute_prematch_branches():
     no_a = DemandRealization(np.array([[0], [1]], dtype=np.int8))
     empty = PreMatchPlan(np.full((1, 1), -1, dtype=np.int64))
     planned = PreMatchPlan(np.array([[a]], dtype=np.int64))
-    assert execute_prematch(s, empty, "u", 1, both) is None
-    assert execute_prematch(s, planned, "u", 1, both) == ("u", "A")
-    assert execute_prematch(s, planned, "u", 1, no_a) is None
+    spec = PolicySpec("nadapopt")
+    rng = np.random.default_rng(0)
+    assert decide(s, spec, both, rng, plan=empty) is None
+    assert decide(s, spec, both, rng, plan=planned) == ("u", "A")
+    assert decide(s, spec, no_a, rng, plan=planned) is None
 
 
 def test_adaptmatch_uses_the_plan_then_falls_back():
@@ -258,21 +262,20 @@ def test_adaptmatch_uses_the_plan_then_falls_back():
     no_a = DemandRealization(np.array([[0], [1]], dtype=np.int8))
     planned = PreMatchPlan(np.array([[a]], dtype=np.int64))
     empty = PreMatchPlan(np.full((1, 1), -1, dtype=np.int64))
+    coin_rand = PolicySpec("adaptmatch", gamma=1.0)
+    coin_max = PolicySpec("adaptmatch", gamma=0.0)
     rng = np.random.default_rng(13)
     # Planned edge lands: taken regardless of the coin.
     assert all(
-        adaptmatch_decide(s, planned, "u", 1, both, 1.0, rng) == ("u", "A")
-        for _ in range(20)
+        decide(s, coin_rand, both, rng, plan=planned) == ("u", "A") for _ in range(20)
     )
     # No plan entry, gamma 0: pure max fallback.
     assert all(
-        adaptmatch_decide(s, empty, "u", 1, both, 0.0, rng) == ("u", "B")
-        for _ in range(20)
+        decide(s, coin_max, both, rng, plan=empty) == ("u", "B") for _ in range(20)
     )
     # Planned recipient missing: the fallback still matches what is there.
     assert all(
-        adaptmatch_decide(s, planned, "u", 1, no_a, 0.0, rng) == ("u", "B")
-        for _ in range(20)
+        decide(s, coin_max, no_a, rng, plan=planned) == ("u", "B") for _ in range(20)
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from donormatch.graph import (
     build_scenario,
     validate_outcome,
 )
-from donormatch.policies import PolicySpec
+from donormatch.policies import PolicySpec, PreMatchPlan
 from donormatch.simulate import (
     draw_realization,
     estimate_normalization,
@@ -93,6 +95,61 @@ def test_run_policy_is_deterministic_in_the_generator_state():
         assert a.outcome.matched == b.outcome.matched
 
 
+def reference_matches(s, policy, avail, plan, uniforms):
+    """The decision rules read cell by cell: {t: matched edges in donor order}."""
+    coin = {"rand": 1.0, "max": 0.0}.get(policy.kind, policy.gamma)
+    next_free = np.zeros(s.n_donors, dtype=np.int64)
+    matched = {}
+    for t in range(s.horizon):
+        for u in range(s.n_donors):
+            if policy.mode == MODE_FIXED and not s.donor_schedule[u, t]:
+                continue
+            if policy.mode == MODE_RATE and t < next_free[u]:
+                continue
+            e = -1 if plan is None else plan[u, t]
+            if e < 0 or not avail[s.edge_recipient[e], t]:
+                e = -1
+                up = [f for f in s.donor_edges[u] if avail[s.edge_recipient[f], t]]
+                if policy.kind in ("rand", "max", "randmax", "adaptmatch") and up:
+                    if not uniforms[u, t, 0] < coin:
+                        best = max(s.weights[f, t] for f in up)
+                        up = [f for f in up if s.weights[f, t] == best]
+                    e = up[min(int(uniforms[u, t, 1] * len(up)), len(up) - 1)]
+            if e >= 0:
+                matched.setdefault(t + 1, []).append(s.edges[e])
+                next_free[u] = t + s.rate_limit
+    return matched
+
+
+def test_run_policy_matches_the_cell_by_cell_rules():
+    # Ties included: weights on a coarse grid make equal maxima common.
+    rng = np.random.default_rng(21)
+    kinds = {
+        MODE_FIXED: ("rand", "max", "randmax", "nadapopt", "adaptmatch"),
+        MODE_RATE: ("rand", "max", "randmax", "nadaplp_rate"),
+    }
+    for trial in range(30):
+        s = random_instance(rng, max_donors=4, max_recipients=4, max_steps=6, cell_budget=None)
+        s = dataclasses.replace(s, weights=np.round(s.weights * 2) / 2)
+        r = random_realization(s, rng)
+        plan = np.full((s.n_donors, s.horizon), -1, dtype=np.int64)
+        for u, eu in enumerate(s.donor_edges):
+            for t in range(s.horizon):
+                if eu.size and rng.random() < 0.6:
+                    plan[u, t] = rng.choice(eu)
+        for mode in (MODE_FIXED, MODE_RATE):
+            for kind in kinds[mode]:
+                spec = PolicySpec(kind, gamma=0.4, mode=mode)
+                uniforms = np.random.default_rng(trial).random((s.n_donors, s.horizon, 2))
+                want = reference_matches(
+                    s, spec, r.available, plan if spec.needs_plan else None, uniforms
+                )
+                got = run_policy(
+                    s, spec, r, np.random.default_rng(trial), plan=PreMatchPlan(plan)
+                )
+                assert got.outcome.matched == want, (trial, mode, kind)
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -153,24 +210,37 @@ def test_identical_seeds_reproduce_every_trial():
 
 
 def test_mode_rules_hold_on_every_trial():
+    # Plan kinds run at gamma 0 so that no normalization scores are needed.
+    kinds = {
+        MODE_FIXED: ("rand", "max", "randmax", "nadaplp", "nadapopt", "adaptmatch"),
+        MODE_RATE: ("rand", "max", "randmax", "nadaplp_rate"),
+    }
     rng = np.random.default_rng(8)
     for _ in range(4):
         s = random_instance(rng)
         r = random_realization(s, rng)
         for mode in (MODE_FIXED, MODE_RATE):
-            agg = monte_carlo_evaluate(
-                s,
-                PolicySpec("randmax", gamma=0.5, mode=mode),
-                30,
-                realization_mode="fixed",
-                rng=rng,
-                realization=r,
-                keep_trials=True,
-            )
-            for tr in agg.trials:
-                assert validate_outcome(s, tr.outcome, r, mode=mode) == []
-            matched_weight = (agg.match_counts * s.weights).sum()
-            assert matched_weight == pytest.approx(agg.totals.sum(), abs=1e-9)
+            for kind in kinds[mode]:
+                gamma = 0.5 if kind == "randmax" else 0.0
+                agg = monte_carlo_evaluate(
+                    s,
+                    PolicySpec(kind, gamma=gamma, mode=mode),
+                    30,
+                    realization_mode="fixed",
+                    rng=rng,
+                    realization=r,
+                    keep_trials=True,
+                )
+                counts = np.zeros_like(agg.match_counts)
+                for tr in agg.trials:
+                    assert validate_outcome(s, tr.outcome, r, mode=mode) == []
+                    for t, es in tr.outcome.matched.items():
+                        for e in es:
+                            counts[s.edges.index(e), t - 1] += 1
+                assert np.array_equal(agg.match_counts, counts)
+                assert agg.recipient_totals.sum(axis=1) == pytest.approx(agg.totals, abs=1e-12)
+                matched_weight = (agg.match_counts * s.weights).sum()
+                assert matched_weight == pytest.approx(agg.totals.sum(), abs=1e-9)
 
 
 def test_policy_means_stay_under_the_relaxation_bound():

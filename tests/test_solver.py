@@ -15,6 +15,7 @@ from conftest import (
     two_recipient_instance,
 )
 from donormatch.graph import DemandRealization, Donor, Recipient, build_scenario
+from donormatch.oracle import brute_force_opt
 from donormatch.solver import (
     AGGREGATE,
     PAIRWISE,
@@ -66,6 +67,27 @@ def test_offline_opt_gamma_one_forces_empty_matching():
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert not sol.x.any()
     assert sol.s == pytest.approx([0.0, 0.0])
+
+
+def test_availability_is_read_through_each_edges_recipient():
+    # As many edges as recipients, with edge 0 going to the second one: a
+    # cell's availability must come from its edge's recipient row, not
+    # from the row at the edge's own index.
+    s = build_scenario(
+        donors=[Donor("u", 0.0, 0.0)],
+        recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.0, 0.1, kind="dynamic")],
+        edges=[("u", "B"), ("u", "A")],
+        weights=[1.0, 0.5],
+        availability={"B": [0.0, 0.6]},
+        horizon=2,
+        rate_limit=1,
+    )
+    # Step 1 offers A alone: 0.5. Step 2 caps B at 0.6 and fills the
+    # donor's budget with 0.4 of A: 0.6 + 0.2.
+    assert solve_fixedtime_lp(s, 0.0).objective == pytest.approx(1.3, abs=1e-9)
+    r = DemandRealization(np.array([[1, 1], [0, 1]], dtype=np.int8))
+    want, _ = brute_force_opt(s, r, 0.0)
+    assert solve_offline_opt(s, r, 0.0).objective == pytest.approx(want, abs=1e-9)
 
 
 def test_nadapopt_gamma_one_splits_the_donor():
