@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .graph import (
     validate_scenario,
     with_normalization,
 )
-from .metrics import empirical_ep, fairness_report
+from .metrics import fairness_report, gamma_of, scored_recipients
 from .oracle import EnumerationError, brute_force_opt
 from .policies import PolicySpec, parse_policy
 from .simulate import draw_realization, estimate_normalization, monte_carlo_evaluate
@@ -69,6 +70,14 @@ def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 def _norm_dict(s: Scenario) -> Dict[str, float]:
     return {v.id: float(s.normalization[i]) for i, v in enumerate(s.recipients)}
+
+
+def _name_unscored(ids: Sequence[str]) -> None:
+    if ids:
+        _info(
+            "recipients left out of Gamma for lack of a positive normalization "
+            "score: " + ", ".join(ids)
+        )
 
 
 def _ensure_normalization(s: Scenario, seed: int, mode: str) -> Scenario:
@@ -157,7 +166,10 @@ def cmd_run(args) -> int:
     trials_path = os.path.join(args.out_dir, "trials.csv")
     _write_csv(trials_path, ["trial", "policy", "gamma", "total_weight"] + ids, trial_rows)
 
-    gamma_emp = empirical_ep(agg, _norm_dict(s))
+    m = _norm_dict(s)
+    scored, unscored = scored_recipients(agg.mean_recipient_weight, m)
+    _name_unscored(unscored)
+    gamma_emp = gamma_of(scored, m)
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
     _write_csv(
         agg_path,
@@ -221,16 +233,20 @@ def sweep_rows(
     rand_agg = evaluate(PolicySpec("rand"), 2)
     reference = max_agg.mean_total_weight
 
+    def report(agg, bound):
+        with warnings.catch_warnings():
+            # cmd_sweep names the unscored recipients once, not on every row.
+            warnings.filterwarnings("ignore", "recipients excluded", UserWarning)
+            return fairness_report(agg, m, max_weight=reference, lp_bound=bound)
+
     rows = []
     for label, agg in (("max", max_agg), ("rand", rand_agg)):
-        report = fairness_report(agg, m, max_weight=reference, lp_bound=bound0)
-        rows.append(_sweep_row(label, 0.0, report))
+        rows.append(_sweep_row(label, 0.0, report(agg, bound0)))
     for j, gamma in enumerate(gammas):
         plan_lp = solve_nadapopt_lp(s, gamma)
         bound = bound0 if gamma == 0.0 else solve_fixedtime_lp(s, gamma).objective
         agg = evaluate(PolicySpec("adaptmatch", gamma=gamma), 3 + j, lp=plan_lp)
-        report = fairness_report(agg, m, max_weight=reference, lp_bound=bound)
-        rows.append(_sweep_row("adaptmatch", gamma, report))
+        rows.append(_sweep_row("adaptmatch", gamma, report(agg, bound)))
     return rows
 
 
@@ -275,6 +291,8 @@ def cmd_sweep(args) -> int:
         _info(f"input error: {err}")
         return 2
     s = _ensure_normalization(s, args.seed, MODE_FIXED)
+    m = _norm_dict(s)
+    _name_unscored(scored_recipients(m, m)[1])
     try:
         rows = sweep_rows(s, gammas, args.trials, args.seed)
     except ValueError as err:

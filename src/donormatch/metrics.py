@@ -78,6 +78,23 @@ class FairnessReport:
     excluded: Tuple[str, ...] = field(default_factory=tuple)
 
 
+def scored_recipients(
+    recipient_weight: Mapping[str, float], normalization: Mapping[str, float]
+) -> Tuple[Dict[str, float], Tuple[str, ...]]:
+    """Split recipients by whether they have a positive normalization score.
+
+    Returns the weights of the scored recipients, in their given order,
+    and the sorted ids of the rest, which gamma_of cannot place on the
+    proportionality scale.
+    """
+    kept = {
+        vid: y
+        for vid, y in recipient_weight.items()
+        if float(normalization.get(vid, 0.0)) > 0.0
+    }
+    return kept, tuple(sorted(set(recipient_weight) - set(kept)))
+
+
 def fairness_report(
     aggregate: AggregateResult,
     normalization: Mapping[str, float],
@@ -90,17 +107,11 @@ def fairness_report(
     the proportionality scale; they are excluded from gamma with a warning
     naming them, and recorded in the report, rather than failing the run.
     """
-    kept: Dict[str, float] = {}
-    excluded = []
-    for vid, y in aggregate.mean_recipient_weight.items():
-        if float(normalization.get(vid, 0.0)) > 0.0:
-            kept[vid] = y
-        else:
-            excluded.append(vid)
+    kept, excluded = scored_recipients(aggregate.mean_recipient_weight, normalization)
     if excluded:
         warnings.warn(
             "recipients excluded from the proportionality measure for lack of a "
-            f"positive normalization score: {sorted(excluded)}",
+            f"positive normalization score: {list(excluded)}",
             stacklevel=2,
         )
     return FairnessReport(
@@ -113,5 +124,5 @@ def fairness_report(
         ),
         total_weight=aggregate.mean_total_weight,
         lp_bound=lp_bound,
-        excluded=tuple(sorted(excluded)),
+        excluded=excluded,
     )

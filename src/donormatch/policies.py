@@ -34,6 +34,7 @@ from .solver import (
     solve_nadapopt_lp,
     solve_ratelimit_lp,
 )
+from .windows import _induced_availability, _mass_by_donor_step, _prior_sum
 
 KINDS = ("rand", "max", "randmax", "nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
 _PLAN_KINDS = ("nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
@@ -45,6 +46,9 @@ DRAW_KINDS = ("rand", "max", "randmax", "adaptmatch")
 # numpy's per-call cost, few enough that the kernel's (trials, cells,
 # degree) work arrays stay a few MB at bundled-city scale.
 TRIAL_CHUNK = 16
+
+# Fixed-point iterations of estimate_beta.
+BETA_ITERATIONS = 3
 
 # Slack allowed on a pre-match distribution's total mass before the plan
 # is rejected as invalid; covers LP feasibility noise, nothing more.
@@ -210,44 +214,34 @@ def estimate_beta(
     trials: int,
     rng: np.random.Generator,
     lp: Optional[LpSolution] = None,
-    rounds: int = 3,
 ) -> BetaEstimate:
     """Estimate beta_ut, the chance donor u is rate-limit-free at step t.
 
     Fixed-point simulation: starting from beta = 1, repeatedly build the
     induced pre-match distribution, simulate ``trials`` runs of it, and
-    re-estimate availability from the empirical frequencies (``rounds``
-    iterations, default 3). Estimates are clamped from below by the union
-    bound 1 - sum of alpha*x* over the donor's trailing window, which the
-    relaxation's packing rows keep at 1 - alpha or better; in particular
-    alpha = 1/(2D) keeps every beta at 1/2 or better. beta_u1 is exactly 1.
+    re-estimate availability from the empirical frequencies, for
+    BETA_ITERATIONS iterations. Estimates are clamped from below by the
+    union bound 1 - sum of alpha*x* over the donor's previous K - 1
+    steps, which the relaxation's packing rows keep at 1 - alpha or
+    better; in particular alpha = 1/(2D) keeps every beta at 1/2 or
+    better. beta_u1 is exactly 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if lp is None:
         lp = solve_ratelimit_lp(s, gamma)
     xstar = np.clip(lp.x, 0.0, None)
-
-    match_mass = np.zeros((s.n_donors, s.horizon))
-    np.add.at(match_mass, s.edge_donor, alpha * xstar)
-    floor = np.ones((s.n_donors, s.horizon))
-    cum = np.cumsum(match_mass, axis=1)
-    for tau in range(1, s.horizon):
-        lo = tau - s.rate_limit + 1
-        floor[:, tau] = 1.0 - (cum[:, tau - 1] - (cum[:, lo - 1] if lo > 0 else 0.0))
-    floor = np.clip(floor, 0.0, 1.0)
+    floor = _induced_availability(s, alpha * xstar)
 
     base = _over_availability(s, xstar) * alpha
     beta = np.ones((s.n_donors, s.horizon))
-    for _ in range(max(1, rounds)):
+    for _ in range(BETA_ITERATIONS):
         probs = base / np.maximum(beta[s.edge_donor], 1e-12)
         probs = _scale_to_valid(s, probs)
         plans = _draw_assignment(s, probs, rng.random((trials, s.n_donors, s.horizon)))
         arrivals = rng.random((trials, s.n_recipients, s.horizon)) < s.availability
         hit = _match_edges(s, MODE_RATE, "nadaplp_rate", 0.0, arrivals, plans, None) >= 0
-        blocked = np.zeros_like(hit)
-        for lag in range(1, s.rate_limit):
-            blocked[..., lag:] |= hit[..., :-lag]
+        blocked = _prior_sum(hit, s.rate_limit) > 0
         beta = np.maximum((~blocked).sum(axis=0) / float(trials), floor)
         beta[:, 0] = 1.0
     return BetaEstimate(beta)
@@ -285,12 +279,6 @@ def _over_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     np.divide(x, p, out=out, where=p > 0.0)
     return out
-
-
-def _mass_by_donor_step(s: Scenario, probs: np.ndarray) -> np.ndarray:
-    mass = np.zeros((s.n_donors, s.horizon))
-    np.add.at(mass, s.edge_donor, probs)
-    return mass
 
 
 def _check_valid(s: Scenario, probs: np.ndarray, kind: str) -> None:

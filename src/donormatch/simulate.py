@@ -58,6 +58,9 @@ _CTR_PLAN = 1
 _CTR_REALIZATION = 2
 _CTR_DECIDE = 3
 
+# Simulated runs per fixed-point iteration of the beta estimate.
+BETA_ESTIMATE_TRIALS = 200
+
 
 @dataclass
 class TrialResult:
@@ -194,7 +197,6 @@ def monte_carlo_evaluate(
     realization: Optional[DemandRealization] = None,
     lp: Optional[LpSolution] = None,
     beta: Optional[BetaEstimate] = None,
-    beta_trials: int = 200,
     keep_trials: bool = False,
 ) -> AggregateResult:
     """Evaluate a policy over Monte Carlo trials.
@@ -224,7 +226,7 @@ def monte_carlo_evaluate(
     elif policy.kind == "nadaplp_rate":
         lp = lp or solve_ratelimit_lp(s, policy.gamma)
         if beta is None:
-            beta = estimate_beta(s, policy.gamma, alpha, beta_trials, rng, lp=lp)
+            beta = estimate_beta(s, policy.gamma, alpha, BETA_ESTIMATE_TRIALS, rng, lp=lp)
 
     fixed_r = None
     if realization_mode == "fixed":

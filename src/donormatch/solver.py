@@ -1,13 +1,13 @@
 """Solvers for the offline and fractional matching formulations.
 
 All five entry points share one reduction. Decision variables are the
-active (edge, step) cells; packing rows cap each donor at one match per
-notification day in the fixed-time setting, or one per sliding K-day
-window in the rate-limited setting, where the availability indicator
-a_ut has been substituted out. With gamma > 0 the normalized recipient
-totals s_v are coupled through proportionality constraints, encoded
-either with two auxiliary variables bounding min and max (default) or
-as explicit ordered-pair rows.
+active (edge, step) cells. Packing rows cap each donor at one match per
+window of w steps: w = 1 in the fixed-time setting (one match per
+notification day), w = K in the rate-limited setting, where the
+availability indicator a_ut has been substituted out. With gamma > 0
+the normalized recipient totals s_v are held in the proportionality
+band: two auxiliary variables bound the smallest and largest s_v, and
+one row keeps the smallest at least gamma times the largest.
 
 Integral variants run branch and bound seeded with the empty matching,
 which is always feasible. Fractional variants hit the simplex directly.
@@ -16,13 +16,14 @@ which is always feasible. Fractional variants hit the simplex directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .graph import DemandRealization, Scenario
 from .milp import MilpError, solve_milp
 from .simplex import SimplexError, solve_lp
+from .windows import _induced_availability, _window_cells
 
 FIXEDTIME_MILP = "fixedtime_milp"
 FIXEDTIME_LP = "fixedtime_lp"
@@ -31,9 +32,6 @@ RATELIMIT_MILP = "ratelimit_milp"
 RATELIMIT_LP = "ratelimit_lp"
 
 _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
-
-AGGREGATE = "aggregate"
-PAIRWISE = "pairwise"
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,7 @@ class LpSolution:
     gamma: float
 
 
-def solve_offline_opt(
-    s: Scenario, r: DemandRealization, gamma: float, encoding: str = AGGREGATE
-) -> LpSolution:
+def solve_offline_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSolution:
     """Optimal offline matching for a known realization, fixed-time mode.
 
     Maximizes total matched weight over integral matchings that notify
@@ -69,15 +65,10 @@ def solve_offline_opt(
     _check_inputs(s, gamma)
     ce, ct = _cells(s, _realized(s, r), scheduled=True)
     cost = s.weights[ce, ct]
-    pack = _donor_step_groups(s, ce, ct)
-    return _solve_cells(
-        s, FIXEDTIME_MILP, ce, ct, cost, np.ones(ce.size), pack, gamma, encoding, True
-    )
+    return _solve_cells(s, FIXEDTIME_MILP, ce, ct, cost, np.ones(ce.size), gamma, True)
 
 
-def solve_fixedtime_lp(
-    s: Scenario, gamma: float, encoding: str = AGGREGATE
-) -> LpSolution:
+def solve_fixedtime_lp(s: Scenario, gamma: float) -> LpSolution:
     """Fractional relaxation over the availability distribution.
 
     The realization indicator is replaced by the distribution: each cell
@@ -89,13 +80,10 @@ def solve_fixedtime_lp(
     ce, ct = _cells(s, s.availability > 0.0, scheduled=True)
     cost = s.weights[ce, ct]
     ub = s.availability[s.edge_recipient[ce], ct]
-    pack = _donor_step_groups(s, ce, ct)
-    return _solve_cells(s, FIXEDTIME_LP, ce, ct, cost, ub, pack, gamma, encoding, False)
+    return _solve_cells(s, FIXEDTIME_LP, ce, ct, cost, ub, gamma, False)
 
 
-def solve_nadapopt_lp(
-    s: Scenario, gamma: float, encoding: str = AGGREGATE
-) -> LpSolution:
+def solve_nadapopt_lp(s: Scenario, gamma: float) -> LpSolution:
     """Optimal non-adaptive pre-match probabilities y_et.
 
     Maximizes expected matched weight sum of w_et p_vt y_et subject to the
@@ -107,15 +95,10 @@ def solve_nadapopt_lp(
     ce, ct = _cells(s, s.availability > 0.0, scheduled=True)
     p = s.availability[s.edge_recipient[ce], ct]
     cost = s.weights[ce, ct] * p
-    pack = _donor_step_groups(s, ce, ct)
-    return _solve_cells(
-        s, NADAPOPT_LP, ce, ct, cost, np.ones(ce.size), pack, gamma, encoding, False
-    )
+    return _solve_cells(s, NADAPOPT_LP, ce, ct, cost, np.ones(ce.size), gamma, False)
 
 
-def solve_ratelimit_opt(
-    s: Scenario, r: DemandRealization, gamma: float, encoding: str = AGGREGATE
-) -> LpSolution:
+def solve_ratelimit_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSolution:
     """Optimal offline matching when notification days are chosen too.
 
     Donor availability is endogenous: matching u at step t blocks it for
@@ -127,22 +110,16 @@ def solve_ratelimit_opt(
     _check_inputs(s, gamma)
     ce, ct = _cells(s, _realized(s, r), scheduled=False)
     cost = s.weights[ce, ct]
-    pack = _window_groups(s, ce, ct)
-    return _solve_cells(
-        s, RATELIMIT_MILP, ce, ct, cost, np.ones(ce.size), pack, gamma, encoding, True
-    )
+    return _solve_cells(s, RATELIMIT_MILP, ce, ct, cost, np.ones(ce.size), gamma, True)
 
 
-def solve_ratelimit_lp(
-    s: Scenario, gamma: float, encoding: str = AGGREGATE
-) -> LpSolution:
+def solve_ratelimit_lp(s: Scenario, gamma: float) -> LpSolution:
     """Fractional rate-limited relaxation over the distribution."""
     _check_inputs(s, gamma)
     ce, ct = _cells(s, s.availability > 0.0, scheduled=False)
     cost = s.weights[ce, ct]
     ub = s.availability[s.edge_recipient[ce], ct]
-    pack = _window_groups(s, ce, ct)
-    return _solve_cells(s, RATELIMIT_LP, ce, ct, cost, ub, pack, gamma, encoding, False)
+    return _solve_cells(s, RATELIMIT_LP, ce, ct, cost, ub, gamma, False)
 
 
 def _check_inputs(s: Scenario, gamma: float) -> None:
@@ -179,42 +156,6 @@ def _cells(
     return np.nonzero(mask)
 
 
-def _donor_step_groups(s: Scenario, ce: np.ndarray, ct: np.ndarray) -> List[np.ndarray]:
-    """One packing group per (donor, step) holding that donor's cells."""
-    if ce.size == 0:
-        return []
-    key = s.edge_donor[ce] * s.horizon + ct
-    uniq, inv = np.unique(key, return_inverse=True)
-    groups: List[List[int]] = [[] for _ in range(uniq.size)]
-    for i, g in enumerate(inv):
-        groups[g].append(i)
-    return [np.array(g, dtype=np.int64) for g in groups]
-
-
-def _window_groups(s: Scenario, ce: np.ndarray, ct: np.ndarray) -> List[np.ndarray]:
-    """Trailing-window packing groups for the rate-limited formulations.
-
-    For each donor and step t, the member cells are those of the donor
-    with step in [t - K + 1, t], clipped at the first step. Consecutive
-    identical windows collapse to one row.
-    """
-    groups: List[np.ndarray] = []
-    cd = s.edge_donor[ce]
-    for u in range(s.n_donors):
-        mine = np.flatnonzero(cd == u)
-        if mine.size == 0:
-            continue
-        steps = ct[mine]
-        prev: Optional[np.ndarray] = None
-        for tau in range(s.horizon):
-            sel = mine[(steps >= max(0, tau - s.rate_limit + 1)) & (steps <= tau)]
-            if sel.size == 0 or (prev is not None and np.array_equal(sel, prev)):
-                continue
-            groups.append(sel)
-            prev = sel
-    return groups
-
-
 def _solve_cells(
     s: Scenario,
     kind: str,
@@ -222,48 +163,25 @@ def _solve_cells(
     ct: np.ndarray,
     cost: np.ndarray,
     ub: np.ndarray,
-    pack: List[np.ndarray],
     gamma: float,
-    encoding: str,
     integral: bool,
 ) -> LpSolution:
     nc = ce.size
     if nc == 0:
         return _assemble(s, kind, ce, ct, np.zeros(0), cost, 0.0, gamma)
-    if encoding not in (AGGREGATE, PAIRWISE):
-        raise ValueError(f"unknown proportionality encoding {encoding!r}")
 
     nv = s.n_recipients
-    m0 = len(pack)
-    use_prop = gamma > 0.0 and nv >= 2
+    rows, cols = _window_cells(s, ce, ct, s.rate_limit if kind in _RATE_KINDS else 1)
+    m0 = int(rows[-1]) + 1
 
-    if use_prop:
+    if gamma > 0.0 and nv >= 2:
         # s_v = q_v . x with q_v the per-cell weight contribution over m_v.
         q = np.zeros((nv, nc))
         cr = s.edge_recipient[ce]
         q[cr, np.arange(nc)] = cost / s.normalization[cr]
-
-    if not use_prop:
-        ncols = nc
-        A = np.zeros((m0, ncols))
-        b = np.ones(m0)
-        cfull, upfull = cost, ub
-    elif encoding == PAIRWISE:
-        ncols = nc
-        A = np.zeros((m0 + nv * (nv - 1), ncols))
-        b = np.concatenate([np.ones(m0), np.zeros(nv * (nv - 1))])
-        k = m0
-        for v in range(nv):
-            for vp in range(nv):
-                if v != vp:
-                    A[k, :nc] = gamma * q[v] - q[vp]
-                    k += 1
-        cfull, upfull = cost, ub
-    else:
         # Two auxiliaries sandwich the s_v values; one row ties them by gamma.
-        ncols = nc + 2
         smin, smax = nc, nc + 1
-        A = np.zeros((m0 + 2 * nv + 1, ncols))
+        A = np.zeros((m0 + 2 * nv + 1, nc + 2))
         b = np.concatenate([np.ones(m0), np.zeros(2 * nv + 1)])
         for v in range(nv):
             A[m0 + 2 * v, :nc] = q[v]
@@ -275,13 +193,15 @@ def _solve_cells(
         cap = float((q @ ub).max()) + 1.0
         cfull = np.concatenate([cost, [0.0, 0.0]])
         upfull = np.concatenate([ub, [cap, cap]])
-
-    for i, grp in enumerate(pack):
-        A[i, grp] = 1.0
+    else:
+        A = np.zeros((m0, nc))
+        b = np.ones(m0)
+        cfull, upfull = cost, ub
+    A[rows, cols] = 1.0
 
     if integral:
         res = solve_milp(
-            cfull, A, b, upfull, binary=np.arange(nc), incumbent_x=np.zeros(ncols)
+            cfull, A, b, upfull, binary=np.arange(nc), incumbent_x=np.zeros(cfull.size)
         )
         if res.status != "optimal":
             raise MilpError("integral solve lost the empty-matching incumbent")
@@ -319,15 +239,3 @@ def _assemble(
     a = _induced_availability(s, x) if kind in _RATE_KINDS else None
     return LpSolution(kind, x, sv, a, float(objective), float(gamma))
 
-
-def _induced_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
-    """a_ut = 1 minus the donor's matched mass in the previous K - 1 steps."""
-    per_step = np.zeros((s.n_donors, s.horizon))
-    np.add.at(per_step, s.edge_donor, x)
-    cum = np.cumsum(per_step, axis=1)
-    a = np.ones((s.n_donors, s.horizon))
-    for tau in range(1, s.horizon):
-        lo = tau - s.rate_limit + 1
-        prior = cum[:, tau - 1] - (cum[:, lo - 1] if lo > 0 else 0.0)
-        a[:, tau] = 1.0 - prior
-    return np.clip(a, 0.0, 1.0)

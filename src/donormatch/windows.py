@@ -1,0 +1,70 @@
+"""Trailing donor windows, the one shape every matching budget takes.
+
+A donor is matched at most once per window of ``width`` steps, the
+steps [t - width + 1, t]: width 1 in fixed-time mode (one match per
+scheduled day), width K in rate-limited mode. The solver's packing rows,
+the induced donor availability and the blocking estimate in
+``policies.estimate_beta`` all read their windows from here, as
+differences of one padded cumulative sum over the steps.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+from .graph import Scenario
+
+
+def _mass_by_donor_step(s: Scenario, x: np.ndarray) -> np.ndarray:
+    """(U, T) sums of a per-(edge, step) array over each donor's edges."""
+    mass = np.zeros((s.n_donors, s.horizon))
+    np.add.at(mass, s.edge_donor, x)
+    return mass
+
+
+def _prior_sum(values: np.ndarray, width: int) -> np.ndarray:
+    """Sums over the width - 1 steps before each step, along the last axis.
+
+    Entry t holds the sum of steps [t - width + 1, t - 1], clipped at the
+    first step, so entry 0 is always 0 and width 1 gives all zeros.
+    """
+    cum = np.cumsum(values, axis=-1)
+    pad = np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1)
+    steps = np.arange(values.shape[-1])
+    return pad[..., steps] - pad[..., np.maximum(steps - width + 1, 0)]
+
+
+def _induced_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
+    """a_ut = 1 minus the donor's matched mass in the previous K - 1 steps."""
+    prior = _prior_sum(_mass_by_donor_step(s, x), s.rate_limit)
+    return np.clip(1.0 - prior, 0.0, 1.0)
+
+
+def _window_cells(
+    s: Scenario, ce: np.ndarray, ct: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, cell) incidence of the donor windows over the active cells.
+
+    Row (u, t) holds the cells of donor u with step in [t - width + 1, t].
+    Rows come in (donor, step) order; an empty window gives no row, and
+    neither does one identical to the donor's previous window, that is,
+    one that no cell enters or leaves.
+    """
+    per = np.zeros((s.n_donors, s.horizon), dtype=np.int64)
+    np.add.at(per, (s.edge_donor[ce], ct), 1)
+    count = _prior_sum(per, width) + per
+    leaving = np.zeros_like(per)
+    leaving[:, width:] = per[:, : max(s.horizon - width, 0)]
+    changed = (per > 0) | (leaving > 0)
+    changed[:, 0] = True
+    ru, rt = np.nonzero((count > 0) & changed)
+    # Sorted by (donor, step), the cells of (u, t) start at offset[u * T + t].
+    order = np.lexsort((ct, s.edge_donor[ce]))
+    offset = np.concatenate([[0], np.cumsum(per.ravel())])
+    first = offset[ru * s.horizon + np.maximum(rt - width + 1, 0)]
+    size = count[ru, rt]
+    rows = np.repeat(np.arange(ru.size), size)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    return rows, order[np.repeat(first, size) + within]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,9 +205,11 @@ def test_sweep_rejects_the_rate_mode_and_bad_gammas(tiny, tmp_path):
     assert main(["sweep", str(tiny), "--gammas", ",", "--out-dir", str(tmp_path)]) == 2
 
 
-def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys):
-    # B's only edge is never available, so its estimated score is 0 and
-    # every gamma > 0 formulation refuses the scenario.
+@pytest.fixture()
+def dead(tmp_path):
+    # B's only edge is never available, so its estimated score is 0: it
+    # has no place on the Gamma scale, and every gamma > 0 formulation
+    # refuses the scenario.
     path = tmp_path / "dead.json"
     save_scenario(
         build_scenario(
@@ -219,12 +223,28 @@ def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys):
         ),
         path,
     )
-    argv = ["sweep", str(path), "--gammas", "0,0.5", "--trials", "5"]
+    return path
+
+
+def test_sweep_reports_a_failed_solve_in_one_line(dead, tmp_path, capsys):
+    argv = ["sweep", str(dead), "--gammas", "0,0.5", "--trials", "5"]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith("sweep failed:")]
     assert len(failed) == 1 and "normalization" in failed[0]
     assert not any(line.startswith("Traceback") for line in err)
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "rand"], ["sweep", "--gammas", "0"]], ids=["run", "sweep"]
+)
+def test_unscored_recipients_are_named_in_one_line(dead, tmp_path, capsys, command):
+    argv = [command[0], str(dead), *command[1:], "--trials", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if re.search(r"\bB\b", line)]) == 1
 
 
 # ---------------------------------------------------------------------------

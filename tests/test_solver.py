@@ -1,4 +1,4 @@
-"""Solver layer: hand-solved instances, encoding equivalence, invariants."""
+"""Solver layer: hand-solved instances, cross-formulation relations, invariants."""
 
 from __future__ import annotations
 
@@ -14,17 +14,22 @@ from conftest import (
     single_edge_instance,
     two_recipient_instance,
 )
-from donormatch.graph import DemandRealization, Donor, Recipient, build_scenario
+from donormatch.graph import (
+    DemandRealization,
+    Donor,
+    Recipient,
+    build_scenario,
+    validate_scenario,
+)
 from donormatch.oracle import brute_force_opt
 from donormatch.solver import (
-    AGGREGATE,
-    PAIRWISE,
     solve_fixedtime_lp,
     solve_nadapopt_lp,
     solve_offline_opt,
     solve_ratelimit_lp,
     solve_ratelimit_opt,
 )
+from donormatch.windows import _window_cells
 
 
 def waiting_instance(eps=0.01):
@@ -225,21 +230,24 @@ def test_deterministic_lp_bounds_milp(gamma):
         )
 
 
-def test_encodings_agree_on_random_instances():
-    rng = np.random.default_rng(55)
-    for _ in range(12):
+def test_rate_limit_one_solves_the_fixed_time_lp():
+    # With K = 1 and first_notify = 1 every donor is scheduled every day,
+    # so both kinds get one packing row per donor and step: the same LP.
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
         s = random_instance(rng)
-        r = random_realization(s, rng)
-        for gamma in (0.3, 1.0):
-            agg = solve_offline_opt(s, r, gamma, encoding=AGGREGATE)
-            pair = solve_offline_opt(s, r, gamma, encoding=PAIRWISE)
-            assert agg.objective == pytest.approx(pair.objective, abs=1e-6)
-            agg_lp = solve_nadapopt_lp(s, gamma, encoding=AGGREGATE)
-            pair_lp = solve_nadapopt_lp(s, gamma, encoding=PAIRWISE)
-            assert agg_lp.objective == pytest.approx(pair_lp.objective, abs=1e-6)
-            agg_r = solve_ratelimit_opt(s, r, gamma, encoding=AGGREGATE)
-            pair_r = solve_ratelimit_opt(s, r, gamma, encoding=PAIRWISE)
-            assert agg_r.objective == pytest.approx(pair_r.objective, abs=1e-6)
+        s = dataclasses.replace(
+            s,
+            donors=[dataclasses.replace(d, first_notify=1) for d in s.donors],
+            rate_limit=1,
+            donor_schedule=np.ones_like(s.donor_schedule),
+        )
+        assert validate_scenario(s) == []
+        for gamma in (0.0, 0.5, 1.0):
+            rate = solve_ratelimit_lp(s, gamma)
+            fixed = solve_fixedtime_lp(s, gamma)
+            assert np.array_equal(rate.x, fixed.x)
+            assert rate.objective == fixed.objective
 
 
 def test_milp_objective_monotone_in_gamma():
@@ -286,9 +294,14 @@ def test_realization_shape_mismatch_rejected():
         solve_offline_opt(s, DemandRealization(np.ones((3, 1))), gamma=0.0)
 
 
+def _per_donor_step(s, sol):
+    out = np.zeros((s.n_donors, s.horizon))
+    np.add.at(out, s.edge_donor, sol.x)
+    return out
+
+
 def _check_packing(s, sol, mode):
-    per_donor_step = np.zeros((s.n_donors, s.horizon))
-    np.add.at(per_donor_step, s.edge_donor, sol.x)
+    per_donor_step = _per_donor_step(s, sol)
     if mode == "fixed":
         assert (per_donor_step <= 1.0 + 1e-6).all()
         off_schedule = per_donor_step[s.donor_schedule == 0]
@@ -298,6 +311,39 @@ def _check_packing(s, sol, mode):
             lo = max(0, tau - s.rate_limit + 1)
             window = per_donor_step[:, lo : tau + 1].sum(axis=1)
             assert (window <= 1.0 + 1e-6).all()
+
+
+def _availability_by_loop(s, sol):
+    """1 minus each donor's mass over its previous K - 1 steps, clipped."""
+    per_donor_step = _per_donor_step(s, sol)
+    a = np.ones_like(per_donor_step)
+    for tau in range(s.horizon):
+        lo = max(0, tau - s.rate_limit + 1)
+        a[:, tau] = 1.0 - per_donor_step[:, lo:tau].sum(axis=1)
+    return np.clip(a, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_window_rows_match_a_loop_over_donors_and_steps(width):
+    rng = np.random.default_rng(300 + width)
+    for _ in range(40):
+        s = random_instance(rng, max_steps=4, cell_budget=None)
+        ce, ct = np.nonzero(rng.random((s.n_edges, s.horizon)) < 0.6)
+        rows, cols = _window_cells(s, ce, ct, width)
+        got = [sorted(cols[rows == i].tolist()) for i in np.unique(rows)]
+        # One row per donor and step, skipping empty windows and repeats
+        # of the donor's last row.
+        want = []
+        for u in range(s.n_donors):
+            last = None
+            for tau in range(s.horizon):
+                mine = (s.edge_donor[ce] == u) & (ct > tau - width) & (ct <= tau)
+                cells = np.flatnonzero(mine).tolist()
+                if cells and cells != last:
+                    want.append(cells)
+                    last = cells
+        assert got == want
+        assert np.array_equal(np.unique(rows), np.arange(len(want)))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
@@ -326,6 +372,7 @@ def test_solution_invariants_on_random_instances(gamma):
                     s.horizon,
                 )
                 assert ((sol.a >= 0.0) & (sol.a <= 1.0)).all()
+                assert sol.a == pytest.approx(_availability_by_loop(s, sol), abs=1e-12)
             else:
                 assert sol.a is None
             # recompute s_v from x; the p factor rides along for nadapopt
