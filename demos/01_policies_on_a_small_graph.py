@@ -42,8 +42,10 @@ print()
 print("one trial of each myopic policy on that realization")
 for i, text in enumerate(("max", "rand", "randmax:0.4")):
     trial = run_policy(s, parse_policy(text), r, np.random.default_rng(20 + i))
-    days = {t: [f"{u}->{v}" for u, v in edges]
-            for t, edges in sorted(trial.outcome.matched.items())}
+    days = {}
+    for tau, ui in zip(*np.nonzero(trial.outcome.matched.T >= 0)):
+        u, v = s.edges[trial.outcome.matched[ui, tau]]
+        days.setdefault(int(tau) + 1, []).append(f"{u}->{v}")
     print(f"  {text:12s} total weight {trial.outcome.total_weight:.3f}  {days}")
 print()
 

@@ -79,13 +79,8 @@ print(f"simulated mean total weight over 2000 trials: "
 
 worst_gap = s.horizon
 for tr in agg.trials:
-    days = {}
-    for t, edges in tr.outcome.matched.items():
-        for u, _v in edges:
-            days.setdefault(u, []).append(t)
-    for ts in days.values():
-        ts.sort()
-        for a, b in zip(ts, ts[1:]):
-            worst_gap = min(worst_gap, b - a)
+    for row in tr.outcome.matched:
+        gaps = np.diff(np.flatnonzero(row >= 0))
+        worst_gap = min(worst_gap, int(gaps.min(initial=s.horizon)))
 print(f"smallest day gap between two matches of one donor: {worst_gap} "
       f"(the rule requires at least {s.rate_limit})")

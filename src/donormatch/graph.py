@@ -106,12 +106,19 @@ class Scenario:
         )
 
     @cached_property
+    def donor_edge_table(self) -> np.ndarray:
+        """(U, D) edge indices of each donor in edge order, -1 past its degree."""
+        counts = np.bincount(self.edge_donor, minlength=len(self.donors))
+        table = np.full((len(self.donors), int(counts.max(initial=0))), -1, dtype=np.int64)
+        order = np.argsort(self.edge_donor, kind="stable")
+        slot = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        table[self.edge_donor[order], slot] = order
+        return table
+
+    @cached_property
     def donor_edges(self) -> Tuple[np.ndarray, ...]:
         """Edge indices adjacent to each donor, in edge order."""
-        buckets: List[List[int]] = [[] for _ in self.donors]
-        for e, (uid, _vid) in enumerate(self.edges):
-            buckets[self.donor_index[uid]].append(e)
-        return tuple(np.array(b, dtype=np.int64) for b in buckets)
+        return tuple(row[row >= 0] for row in self.donor_edge_table)
 
     @property
     def n_donors(self) -> int:
@@ -135,10 +142,15 @@ class DemandRealization:
 
 @dataclass
 class MatchingOutcome:
-    """Edges matched per step plus the induced per-recipient weights."""
+    """One matching: ``matched[u, t-1]`` is donor u's edge index at step t, or -1.
 
-    matched: Dict[int, List[Edge]]
-    recipient_weight: Dict[str, float]
+    ``recipient_weight[v]`` is Y_v, the weight matched to recipient v, and
+    ``total_weight`` their sum. Ids appear only where a matching is
+    printed or written out (``s.edges[e]``).
+    """
+
+    matched: np.ndarray
+    recipient_weight: np.ndarray
     total_weight: float
 
 
@@ -400,29 +412,28 @@ def validate_scenario(s: Scenario) -> List[str]:
 
 def donor_max_degree(s: Scenario) -> int:
     """Largest number of edges incident to any one donor (0 with no edges)."""
-    if not s.donors:
-        return 0
-    return max(len(es) for es in s.donor_edges)
+    return s.donor_edge_table.shape[1]
 
 
-def outcome_from_matches(
-    s: Scenario, matched: Mapping[int, Sequence[Edge]]
-) -> MatchingOutcome:
-    """Build a MatchingOutcome from per-step matched edges, filling in Y_v."""
-    Y = {v.id: 0.0 for v in s.recipients}
-    per_step: Dict[int, List[Edge]] = {}
-    eidx = {e: i for i, e in enumerate(s.edges)}
-    for t, es in matched.items():
-        if not es:
-            continue
-        per_step[int(t)] = [tuple(e) for e in es]
-        for e in es:
-            Y[e[1]] += float(s.weights[eidx[tuple(e)], int(t) - 1])
-    return MatchingOutcome(
-        matched=per_step,
-        recipient_weight=Y,
-        total_weight=float(sum(Y.values())),
-    )
+def matched_weights(s: Scenario, matched: np.ndarray) -> np.ndarray:
+    """Y_v of matched edge indices: shape (..., U, T) to (..., V).
+
+    Within each leading index the weights are added in (step, donor)
+    order, so every caller gets the same sums to the last bit.
+    """
+    matched = np.asarray(matched)
+    out = np.zeros(matched.shape[:-2] + (s.n_recipients,))
+    *lead, tau, ui = np.nonzero(np.swapaxes(matched, -1, -2) >= 0)
+    e = matched[(*lead, ui, tau)]
+    np.add.at(out, (*lead, s.edge_recipient[e]), s.weights[e, tau])
+    return out
+
+
+def outcome_from_matches(s: Scenario, matched: np.ndarray) -> MatchingOutcome:
+    """Build a MatchingOutcome from (U, T) matched edge indices, filling in Y_v."""
+    matched = np.array(matched, dtype=np.int64)
+    y = matched_weights(s, matched)
+    return MatchingOutcome(matched, y, float(sum(y.tolist())))
 
 
 def validate_outcome(
@@ -433,58 +444,53 @@ def validate_outcome(
 ) -> List[str]:
     """Check a MatchingOutcome against every invariant for the given mode.
 
-    Verifies step range, edge existence, at most one match per donor per
-    step, recipient availability at each match, the mode's donor
-    availability rule (schedule for fixed-time, K-day spacing for
-    rate-limited), and consistency of the stored weights.
+    Verifies the (U, T) shape, that each edge index is in the graph and
+    belongs to the donor whose slot holds it, recipient availability at
+    each match, the mode's donor availability rule (schedule for
+    fixed-time, K-day spacing for rate-limited), and consistency of the
+    stored weights.
     """
+    m = np.asarray(outcome.matched)
+    if m.shape != (s.n_donors, s.horizon):
+        return [f"matched has shape {m.shape}, want {(s.n_donors, s.horizon)}"]
     out: List[str] = []
-    eidx = {e: i for i, e in enumerate(s.edges)}
-    matched_steps: Dict[str, List[int]] = {d.id: [] for d in s.donors}
+    ghost = (m < -1) | (m >= s.n_edges)
+    for ui, tau in np.argwhere(ghost):
+        out.append(
+            f"edge index {m[ui, tau]} matched at t={tau + 1} for donor "
+            f"{s.donors[ui].id} is not in the graph"
+        )
+    m = np.where(ghost, -1, m)
+    ui, tau = np.nonzero(m >= 0)
+    e = m[ui, tau]
 
-    for t, es in sorted(outcome.matched.items()):
-        if not 1 <= t <= s.horizon:
-            out.append(f"matched step t={t} outside 1..{s.horizon}")
-            continue
-        donors_here = set()
-        for e in es:
-            e = tuple(e)
-            if e not in eidx:
-                out.append(f"matched edge {e} at t={t} is not in the graph")
-                continue
-            u, v = e
-            if u in donors_here:
-                out.append(f"donor {u} matched twice at t={t}")
-            donors_here.add(u)
-            if r.available[s.recipient_index[v], t - 1] != 1:
-                out.append(f"edge {e} matched at t={t} but recipient unavailable")
-            if mode == MODE_FIXED:
-                if s.donor_schedule[s.donor_index[u], t - 1] != 1:
-                    out.append(f"edge {e} matched at t={t} off donor {u}'s schedule")
-            matched_steps[u].append(t)
+    def flag(bad: np.ndarray, what: str) -> None:
+        for k in np.flatnonzero(bad):
+            out.append(f"edge {s.edges[e[k]]} matched at t={tau[k] + 1} {what}")
 
-    if mode == MODE_RATE:
-        for u, ts in matched_steps.items():
-            ts = sorted(ts)
-            for a, b in zip(ts, ts[1:]):
-                if b - a < s.rate_limit:
-                    out.append(
-                        f"donor {u} matched at t={a} and t={b}, closer than K={s.rate_limit}"
-                    )
+    flag(s.edge_donor[e] != ui, "in another donor's slot")
+    flag(np.asarray(r.available)[s.edge_recipient[e], tau] != 1, "but recipient unavailable")
+    if mode == MODE_FIXED:
+        flag(s.donor_schedule[ui, tau] != 1, "off the donor's schedule")
+    elif mode == MODE_RATE:
+        # Row-major order: each donor's matches in step order.
+        for k in np.flatnonzero((ui[1:] == ui[:-1]) & (np.diff(tau) < s.rate_limit)):
+            out.append(
+                f"donor {s.donors[ui[k]].id} matched at t={tau[k] + 1} and "
+                f"t={tau[k + 1] + 1}, closer than K={s.rate_limit}"
+            )
 
-    expect = outcome_from_matches(
-        s,
-        {
-            t: [e for e in es if tuple(e) in eidx]
-            for t, es in outcome.matched.items()
-            if 1 <= t <= s.horizon
-        },
-    )
-    for vid, y in expect.recipient_weight.items():
-        got = outcome.recipient_weight.get(vid, 0.0)
-        if abs(got - y) > 1e-9:
-            out.append(f"recipient_weight[{vid}] = {got:g} but matches sum to {y:g}")
-    if abs(outcome.total_weight - sum(outcome.recipient_weight.values())) > 1e-9:
+    got = np.asarray(outcome.recipient_weight, dtype=float)
+    if got.shape != (s.n_recipients,):
+        out.append(f"recipient_weight has shape {got.shape}, want {(s.n_recipients,)}")
+        return out
+    want = matched_weights(s, m)
+    for vi in np.flatnonzero(np.abs(got - want) > 1e-9):
+        out.append(
+            f"recipient_weight[{s.recipients[vi].id}] = {got[vi]:g} but matches "
+            f"sum to {want[vi]:g}"
+        )
+    if abs(outcome.total_weight - got.sum()) > 1e-9:
         out.append("total_weight differs from the sum of recipient weights")
     return out
 

@@ -28,7 +28,12 @@ from .policies import (
     _over_availability,
     default_alpha,
 )
-from .solver import solve_fixedtime_lp, solve_nadapopt_lp, solve_ratelimit_lp
+from .solver import (
+    _check_inputs,
+    solve_fixedtime_lp,
+    solve_nadapopt_lp,
+    solve_ratelimit_lp,
+)
 
 MAX_SLOTS = 8
 MAX_CHOICES = 6
@@ -41,21 +46,6 @@ PROP_TOL = 1e-9
 
 class EnumerationError(ValueError):
     """The instance exceeds the exhaustive-search bounds."""
-
-
-def _check_gamma(s: Scenario, gamma: float) -> Optional[np.ndarray]:
-    """Validate gamma and return the normalization scores it needs, if any."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if gamma == 0.0:
-        return None
-    m = s.normalization
-    if m is None:
-        raise ValueError("gamma > 0 needs normalization scores on the scenario")
-    if np.any(m <= 0.0):
-        bad = [s.recipients[i].id for i in np.flatnonzero(m <= 0.0)[:5]]
-        raise ValueError(f"gamma > 0 needs positive normalization scores; got {bad}")
-    return m
 
 
 class _Enumeration:
@@ -84,18 +74,14 @@ class _Enumeration:
             for t in range(1, s.horizon + 1):
                 if mode == MODE_FIXED and not s.donor_schedule[ui, t - 1]:
                     continue
-                open_edges = [
-                    int(e)
-                    for e in s.donor_edges[ui]
-                    if avail[s.edge_recipient[e], t - 1]
-                ]
-                if len(open_edges) + 1 > MAX_CHOICES:
+                open_edges = _open_edges(s, avail, ui, t)
+                if open_edges.size + 1 > MAX_CHOICES:
                     raise EnumerationError(
-                        f"donor {s.donors[ui].id!r} has {len(open_edges)} open "
+                        f"donor {s.donors[ui].id!r} has {open_edges.size} open "
                         f"edges at step {t}, over the {MAX_CHOICES - 1} allowed"
                     )
                 self.slots.append((ui, t))
-                choices.append(np.array([-1] + open_edges, dtype=np.int64))
+                choices.append(np.concatenate([[-1], open_edges]))
 
         if self.slots:
             grids = np.meshgrid(
@@ -130,28 +116,30 @@ class _Enumeration:
                         self.feasible &= ~both
 
     def proportional(self, gamma: float) -> np.ndarray:
-        m = _check_gamma(self.scenario, gamma)
+        m = _check_inputs(self.scenario, gamma)
         if m is None or self.scenario.n_recipients < 2:
             return np.ones(self.edge_of.shape[0], dtype=bool)
         sv = self.recipient_weight / m
         return gamma * sv.max(axis=1) <= sv.min(axis=1) + PROP_TOL
 
-    def best(self, gamma: float) -> Tuple[float, Dict[int, List[Edge]]]:
+    def best(self, gamma: float) -> Tuple[float, np.ndarray]:
         keep = self.feasible & self.proportional(gamma)
         score = np.where(keep, self.total_weight, -np.inf)
         i = int(np.argmax(score))
-        matching: Dict[int, List[Edge]] = {}
-        for j, (_ui, t) in enumerate(self.slots):
-            e = int(self.edge_of[i, j])
-            if e >= 0:
-                matching.setdefault(t, []).append(self.scenario.edges[e])
-        return float(self.total_weight[i]), matching
+        s = self.scenario
+        matched = np.full((s.n_donors, s.horizon), -1, dtype=np.int64)
+        for j, (ui, t) in enumerate(self.slots):
+            matched[ui, t - 1] = self.edge_of[i, j]
+        return float(self.total_weight[i]), matched
 
 
 def brute_force_opt(
     s: Scenario, r: DemandRealization, gamma: float, mode: str = MODE_FIXED
-) -> Tuple[float, Dict[int, List[Edge]]]:
+) -> Tuple[float, np.ndarray]:
     """Exhaustive offline optimum: best proportional matching under r.
+
+    Returns the objective and the matching as (U, T) edge indices, -1 for
+    no match, the layout of ``MatchingOutcome.matched``.
 
     The empty matching always survives the filters, so the result exists
     for every input within the enumeration bounds.
@@ -171,7 +159,7 @@ def find_proportional_allocation(
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    m = _check_gamma(s, gamma)
+    m = _check_inputs(s, gamma)
     if s.n_donors > MAX_SLOTS:
         raise EnumerationError(
             f"{s.n_donors} donors exceeds the {MAX_SLOTS}-slot enumeration bound"

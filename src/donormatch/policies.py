@@ -299,14 +299,6 @@ def _scale_to_valid(s: Scenario, probs: np.ndarray) -> np.ndarray:
     return probs * scale[s.edge_donor]
 
 
-def _edge_table(s: Scenario) -> np.ndarray:
-    """(U, D) table of each donor's edges in edge order, -1 past its degree."""
-    table = np.full((s.n_donors, donor_max_degree(s)), -1, dtype=np.int64)
-    for ui, eu in enumerate(s.donor_edges):
-        table[ui, : eu.size] = eu
-    return table
-
-
 def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One categorical draw per (donor, step) from per-edge probabilities.
 
@@ -316,7 +308,7 @@ def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np
     -1 when none does, so two plans drawn from the same uniforms land on
     the same assignments wherever their probabilities agree.
     """
-    table = _edge_table(s)
+    table = s.donor_edge_table
     if table.shape[1] == 0:
         return np.full(uniforms.shape, -1, dtype=np.int64)
     cum = np.cumsum(np.where(table[..., None] >= 0, probs[table], 0.0), axis=1)
@@ -371,7 +363,7 @@ def _match_edges(
     if kind in DRAW_KINDS:
         coin = {"rand": 1.0, "max": 0.0}.get(kind, gamma)
         draws = uniforms[:, cu, ct]
-        table = _edge_table(s)[cu]
+        table = s.donor_edge_table[cu]
         edge = np.maximum(table, 0)
         open_ = available[:, s.edge_recipient[edge], ct[:, None]] & (table >= 0)
         w = np.where(open_, s.weights[edge, ct[:, None]], -np.inf)

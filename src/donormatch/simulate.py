@@ -18,6 +18,11 @@ drawn only by the kinds that decide on the spot (rand, max, randmax,
 adaptmatch). Cell (u, t) reads ``[u, t, 0:2]``, a coin and a pick, and
 nothing else, so visiting donors in a different order cannot change any
 decision.
+
+The kernel's (U, T) matched edge indices are the trial's outcome as they
+stand (``MatchingOutcome.matched``); recipient totals of a single trial
+and of a Monte Carlo batch come from the one accumulator
+``graph.matched_weights``, so both agree to the last bit.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .graph import (
     DemandRealization,
     MatchingOutcome,
     Scenario,
+    matched_weights,
     outcome_from_matches,
 )
 from .policies import (
@@ -64,7 +70,10 @@ BETA_ESTIMATE_TRIALS = 200
 
 @dataclass
 class TrialResult:
-    """One simulated run; ``seed`` is the trial's index under the master seed."""
+    """One simulated run; ``seed`` is the trial's index under the master seed.
+
+    ``outcome.matched`` holds edge indices; ``s.edges[e]`` names an edge.
+    """
 
     outcome: MatchingOutcome
     seed: int
@@ -125,7 +134,7 @@ def run_policy(
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
     matched = _match_trials(s, policy, [r], [plan], [rng])
-    return _trial_result(s, policy, matched[0], seed)
+    return TrialResult(outcome_from_matches(s, matched[0]), seed, policy)
 
 
 def _match_trials(
@@ -144,17 +153,6 @@ def _match_trials(
     coin = policy.gamma if policy.fallback_gamma is None else policy.fallback_gamma
     available = np.stack([np.asarray(r.available) != 0 for r in realizations])
     return _match_edges(s, policy.mode, policy.kind, coin, available, assignment, uniforms)
-
-
-def _trial_result(
-    s: Scenario, policy: PolicySpec, matched: np.ndarray, seed: int
-) -> TrialResult:
-    """TrialResult of one trial's (U, T) matched edge indices."""
-    per_step = {
-        tau + 1: [s.edges[e] for e in col if e >= 0]
-        for tau, col in enumerate(matched.T.tolist())
-    }
-    return TrialResult(outcome=outcome_from_matches(s, per_step), seed=seed, policy=policy)
 
 
 def estimate_normalization(
@@ -259,16 +257,15 @@ def monte_carlo_evaluate(
             [plan_of(k) if policy.needs_plan else None for k in chunk],
             [_stream(k, _CTR_DECIDE) for k in chunk],
         )
-        # Matches in (trial, step, donor) order, the order in which
-        # outcome_from_matches adds up each recipient's weight, and totals
-        # summed over recipients as it does, so results keep their bits.
-        i, tau, ui = np.nonzero(matched.transpose(0, 2, 1) >= 0)
-        e = matched[i, ui, tau]
-        np.add.at(recip, (lo + i, s.edge_recipient[e]), s.weights[e, tau])
-        np.add.at(match_counts, (e, tau), 1.0)
+        recip[rows] = matched_weights(s, matched)
         totals[rows] = [sum(y) for y in recip[rows].tolist()]
+        hit = np.nonzero(matched >= 0)
+        np.add.at(match_counts, (matched[hit], hit[2]), 1.0)
         if kept is not None:
-            kept += [_trial_result(s, policy, m, lo + j) for j, m in enumerate(matched)]
+            kept += [
+                TrialResult(outcome_from_matches(s, m), lo + j, policy)
+                for j, m in enumerate(matched)
+            ]
 
     mean_recip = recip.mean(axis=0)
     se_recip = _std_err(recip)

@@ -33,6 +33,11 @@ RATELIMIT_LP = "ratelimit_lp"
 
 _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
 
+# Largest dense simplex tableau, rows x (columns + rows) floats (64 MB), a
+# solve may build. Bundled fixed-time LPs need at most 1.4M entries and
+# city_small's rate-limited LP 1.2M; the larger cities' rate LPs 41M-54M.
+MAX_TABLEAU_ENTRIES = 8_000_000
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -122,7 +127,8 @@ def solve_ratelimit_lp(s: Scenario, gamma: float) -> LpSolution:
     return _solve_cells(s, RATELIMIT_LP, ce, ct, cost, ub, gamma, False)
 
 
-def _check_inputs(s: Scenario, gamma: float) -> None:
+def _check_inputs(s: Scenario, gamma: float) -> Optional[np.ndarray]:
+    """Validate gamma and return the normalization scores it needs, if any."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if gamma > 0.0:
@@ -134,6 +140,8 @@ def _check_inputs(s: Scenario, gamma: float) -> None:
             raise ValueError(
                 f"gamma > 0 requires positive normalization scores, got m <= 0 for {bad}"
             )
+        return m
+    return None
 
 
 def _realized(s: Scenario, r: DemandRealization) -> np.ndarray:
@@ -173,16 +181,25 @@ def _solve_cells(
     nv = s.n_recipients
     rows, cols = _window_cells(s, ce, ct, s.rate_limit if kind in _RATE_KINDS else 1)
     m0 = int(rows[-1]) + 1
+    banded = gamma > 0.0 and nv >= 2
+    nrow, ncol = (m0 + 2 * nv + 1, nc + 2) if banded else (m0, nc)
+    if nrow * (ncol + nrow) > MAX_TABLEAU_ENTRIES:
+        raise ValueError(
+            f"{kind} has {nrow} rows x {ncol} columns; its dense simplex tableau "
+            f"would exceed {MAX_TABLEAU_ENTRIES} entries"
+        )
 
-    if gamma > 0.0 and nv >= 2:
+    A = np.zeros((nrow, ncol))
+    A[rows, cols] = 1.0
+    b = (np.arange(nrow) < m0).astype(float)
+    cfull, upfull = cost, ub
+    if banded:
         # s_v = q_v . x with q_v the per-cell weight contribution over m_v.
         q = np.zeros((nv, nc))
         cr = s.edge_recipient[ce]
         q[cr, np.arange(nc)] = cost / s.normalization[cr]
         # Two auxiliaries sandwich the s_v values; one row ties them by gamma.
         smin, smax = nc, nc + 1
-        A = np.zeros((m0 + 2 * nv + 1, nc + 2))
-        b = np.concatenate([np.ones(m0), np.zeros(2 * nv + 1)])
         for v in range(nv):
             A[m0 + 2 * v, :nc] = q[v]
             A[m0 + 2 * v, smax] = -1.0
@@ -193,11 +210,6 @@ def _solve_cells(
         cap = float((q @ ub).max()) + 1.0
         cfull = np.concatenate([cost, [0.0, 0.0]])
         upfull = np.concatenate([ub, [cap, cap]])
-    else:
-        A = np.zeros((m0, nc))
-        b = np.ones(m0)
-        cfull, upfull = cost, ub
-    A[rows, cols] = 1.0
 
     if integral:
         res = solve_milp(

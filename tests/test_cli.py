@@ -235,6 +235,17 @@ def test_sweep_reports_a_failed_solve_in_one_line(dead, tmp_path, capsys):
     assert not any(line.startswith("Traceback") for line in err)
 
 
+def test_run_refuses_an_oversized_rate_lp_in_one_line(tmp_path, capsys):
+    path = tmp_path / "riverton.json"
+    save_scenario(generate_city(load_bundled_config("riverton")), path)
+    argv = ["run", str(path), "nadaplp_rate:0.5", "--mode", "rate", "--trials", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("run failed:")]
+    assert len(failed) == 1 and "tableau" in failed[0]
+    assert not any(line.startswith("Traceback") for line in err)
+
+
 @pytest.mark.parametrize(
     "command", [["run", "rand"], ["sweep", "--gammas", "0"]], ids=["run", "sweep"]
 )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,46 +112,66 @@ def test_donor_max_degree_cases():
     assert donor_max_degree(empty) == 0
 
 
+def test_donor_edge_table_lists_each_donors_edges_in_edge_order():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        s = random_instance(rng)
+        # Interleave the donors' edges; random_instance lists them donor by donor.
+        perm = rng.permutation(s.n_edges)
+        s = dataclasses.replace(s, edges=tuple(s.edges[e] for e in perm), weights=s.weights[perm])
+        table = s.donor_edge_table
+        assert table.shape == (s.n_donors, donor_max_degree(s))
+        for ui, d in enumerate(s.donors):
+            want = [e for e, (u, _v) in enumerate(s.edges) if u == d.id]
+            assert table[ui].tolist() == want + [-1] * (table.shape[1] - len(want))
+            assert s.donor_edges[ui].dtype == np.int64
+            assert s.donor_edges[ui].tolist() == want
+
+
 def test_outcome_builder_and_validator_accept_valid():
     s = two_recipient_instance()
     r = all_ones_realization(s)
-    out = outcome_from_matches(s, {1: [("u", "B")]})
+    out = outcome_from_matches(s, [[s.edges.index(("u", "B"))]])
     assert out.total_weight == pytest.approx(1.0)
-    assert out.recipient_weight == {"A": 0.0, "B": 1.0}
+    assert out.recipient_weight.tolist() == [0.0, 1.0]
     assert validate_outcome(s, out, r) == []
 
 
 def test_outcome_validator_rejects_each_broken_invariant():
     s = build_scenario(
-        donors=[Donor("u", 0, 0, 1)],
+        donors=[Donor("u", 0, 0, 1), Donor("w", 0, 0, 1)],
         recipients=[Recipient("A", 0, 0), Recipient("B", 0, 0, kind="dynamic")],
-        edges=[("u", "A"), ("u", "B")],
-        weights=[0.9, 1.0],
+        edges=[("u", "A"), ("u", "B"), ("w", "A")],
+        weights=[0.9, 1.0, 0.5],
         availability={"B": [1.0, 0.0]},
         horizon=2,
         rate_limit=1,
     )
     r = DemandRealization(np.array([[1, 1], [1, 0]], dtype=np.int8))
 
-    two_per_step = outcome_from_matches(s, {1: [("u", "A"), ("u", "B")]})
-    assert any("matched twice" in v for v in validate_outcome(s, two_per_step, r))
+    other_donors_edge = outcome_from_matches(s, [[2, -1], [-1, -1]])
+    assert any("another donor's slot" in v for v in validate_outcome(s, other_donors_edge, r))
 
-    unavailable = outcome_from_matches(s, {2: [("u", "B")]})
+    unavailable = outcome_from_matches(s, [[-1, 1], [-1, -1]])
     assert any("unavailable" in v for v in validate_outcome(s, unavailable, r))
 
-    wrong_weight = outcome_from_matches(s, {1: [("u", "A")]})
-    wrong_weight.recipient_weight["A"] = 0.5
+    wrong_weight = outcome_from_matches(s, [[0, -1], [-1, -1]])
+    wrong_weight.recipient_weight[0] = 0.5
     assert any("recipient_weight" in v for v in validate_outcome(s, wrong_weight, r))
 
-    wrong_total = outcome_from_matches(s, {1: [("u", "A")]})
+    wrong_total = outcome_from_matches(s, [[0, -1], [-1, -1]])
     wrong_total.total_weight = 2.0
     assert any("total_weight" in v for v in validate_outcome(s, wrong_total, r))
 
-    ghost = MatchingOutcome({1: [("u", "C")]}, {"A": 0.0, "B": 0.0}, 0.0)
-    assert any("not in the graph" in v for v in validate_outcome(s, ghost, r))
+    for ghost in (3, -2):
+        out = MatchingOutcome(np.array([[ghost, -1], [-1, -1]]), np.zeros(2), 0.0)
+        assert any("not in the graph" in v for v in validate_outcome(s, out, r))
 
-    out_of_range = MatchingOutcome({7: [("u", "A")]}, {"A": 0.0, "B": 0.0}, 0.0)
-    assert any("outside" in v for v in validate_outcome(s, out_of_range, r))
+    wrong_shape = MatchingOutcome(np.array([[0, -1, -1], [-1, -1, -1]]), np.zeros(2), 0.0)
+    assert any("matched has shape" in v for v in validate_outcome(s, wrong_shape, r))
+
+    short_weights = MatchingOutcome(np.full((2, 2), -1), np.zeros(1), 0.0)
+    assert any("recipient_weight has shape" in v for v in validate_outcome(s, short_weights, r))
 
 
 def test_outcome_validator_mode_rules():
@@ -164,13 +186,13 @@ def test_outcome_validator_mode_rules():
     )
     r = all_ones_realization(s)
     # schedule is t = 1 and t = 4 only
-    off_schedule = outcome_from_matches(s, {2: [("u", "A")]})
-    assert any("off donor" in v for v in validate_outcome(s, off_schedule, r, "fixed_time"))
+    off_schedule = outcome_from_matches(s, [[-1, 0, -1, -1]])
+    assert any("schedule" in v for v in validate_outcome(s, off_schedule, r, "fixed_time"))
     assert validate_outcome(s, off_schedule, r, "rate_limited") == []
 
-    too_close = outcome_from_matches(s, {1: [("u", "A")], 2: [("u", "A")]})
+    too_close = outcome_from_matches(s, [[0, 0, -1, -1]])
     assert any("closer than" in v for v in validate_outcome(s, too_close, r, "rate_limited"))
-    ok_gap = outcome_from_matches(s, {1: [("u", "A")], 4: [("u", "A")]})
+    ok_gap = outcome_from_matches(s, [[0, -1, -1, 0]])
     assert validate_outcome(s, ok_gap, r, "rate_limited") == []
 
 

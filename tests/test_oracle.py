@@ -54,10 +54,10 @@ def test_offline_enumeration_on_the_worked_instance():
     r = all_ones_realization(s)
     obj, matching = brute_force_opt(s, r, gamma=0.0)
     assert obj == pytest.approx(1.0, abs=1e-12)
-    assert matching == {1: [("u", "B")]}
+    assert matching.tolist() == [[s.edges.index(("u", "B"))]]
     obj, matching = brute_force_opt(s, r, gamma=1.0)
     assert obj == 0.0
-    assert matching == {}
+    assert matching.tolist() == [[-1]]
 
 
 def test_rate_enumeration_waits_for_the_heavy_step():
@@ -65,11 +65,11 @@ def test_rate_enumeration_waits_for_the_heavy_step():
     r = all_ones_realization(s)
     obj, matching = brute_force_opt(s, r, gamma=0.0, mode=MODE_RATE)
     assert obj == pytest.approx(1.0, abs=1e-12)
-    assert matching == {2: [("u", "v")]}
+    assert matching.tolist() == [[-1, 0]]
     # Fixed-time mode is stuck with the scheduled first day.
     obj, matching = brute_force_opt(s, r, gamma=0.0, mode=MODE_FIXED)
     assert obj == pytest.approx(0.01, abs=1e-12)
-    assert matching == {1: [("u", "v")]}
+    assert matching.tolist() == [[0, -1]]
 
 
 def test_enumeration_bounds_are_hard_errors():

@@ -107,8 +107,8 @@ def test_spec_validates_parameters_and_mode_pairing():
 
 def decide(s, policy, r, rng, plan=None):
     """The edge the donor matches in one run of the policy, or None."""
-    matched = run_policy(s, policy, r, rng, plan=plan).outcome.matched
-    return matched[1][0] if matched else None
+    e = run_policy(s, policy, r, rng, plan=plan).outcome.matched[0, 0]
+    return s.edges[e] if e >= 0 else None
 
 
 def test_rand_decide_is_uniform_over_available_edges():

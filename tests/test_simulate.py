@@ -74,8 +74,8 @@ def test_run_policy_max_takes_the_heavy_edge():
     r = all_ones_realization(s)
     tr = run_policy(s, PolicySpec("max"), r, np.random.default_rng(3))
     assert tr.outcome.total_weight == pytest.approx(1.0)
-    assert tr.outcome.recipient_weight == {"A": 0.0, "B": 1.0}
-    assert tr.outcome.matched == {1: [("u", "B")]}
+    assert tr.outcome.recipient_weight.tolist() == [0.0, 1.0]
+    assert tr.outcome.matched.tolist() == [[s.edges.index(("u", "B"))]]
     assert validate_outcome(s, tr.outcome, r) == []
 
 
@@ -92,14 +92,14 @@ def test_run_policy_is_deterministic_in_the_generator_state():
     for spec in (PolicySpec("rand"), PolicySpec("randmax", gamma=0.5)):
         a = run_policy(s, spec, r, np.random.default_rng(99))
         b = run_policy(s, spec, r, np.random.default_rng(99))
-        assert a.outcome.matched == b.outcome.matched
+        assert np.array_equal(a.outcome.matched, b.outcome.matched)
 
 
 def reference_matches(s, policy, avail, plan, uniforms):
-    """The decision rules read cell by cell: {t: matched edges in donor order}."""
+    """The decision rules read cell by cell: (U, T) matched edge indices."""
     coin = {"rand": 1.0, "max": 0.0}.get(policy.kind, policy.gamma)
     next_free = np.zeros(s.n_donors, dtype=np.int64)
-    matched = {}
+    matched = np.full((s.n_donors, s.horizon), -1, dtype=np.int64)
     for t in range(s.horizon):
         for u in range(s.n_donors):
             if policy.mode == MODE_FIXED and not s.donor_schedule[u, t]:
@@ -116,7 +116,7 @@ def reference_matches(s, policy, avail, plan, uniforms):
                         up = [f for f in up if s.weights[f, t] == best]
                     e = up[min(int(uniforms[u, t, 1] * len(up)), len(up) - 1)]
             if e >= 0:
-                matched.setdefault(t + 1, []).append(s.edges[e])
+                matched[u, t] = e
                 next_free[u] = t + s.rate_limit
     return matched
 
@@ -147,7 +147,7 @@ def test_run_policy_matches_the_cell_by_cell_rules():
                 got = run_policy(
                     s, spec, r, np.random.default_rng(trial), plan=PreMatchPlan(plan)
                 )
-                assert got.outcome.matched == want, (trial, mode, kind)
+                assert np.array_equal(got.outcome.matched, want), (trial, mode, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_identical_seeds_reproduce_every_trial():
     a, b = runs
     assert np.array_equal(a.totals, b.totals)
     for ta, tb in zip(a.trials, b.trials):
-        assert ta.outcome.matched == tb.outcome.matched
+        assert np.array_equal(ta.outcome.matched, tb.outcome.matched)
         assert ta.seed == tb.seed
 
 
@@ -232,11 +232,11 @@ def test_mode_rules_hold_on_every_trial():
                     keep_trials=True,
                 )
                 counts = np.zeros_like(agg.match_counts)
-                for tr in agg.trials:
+                for j, tr in enumerate(agg.trials):
                     assert validate_outcome(s, tr.outcome, r, mode=mode) == []
-                    for t, es in tr.outcome.matched.items():
-                        for e in es:
-                            counts[s.edges.index(e), t - 1] += 1
+                    assert np.array_equal(tr.outcome.recipient_weight, agg.recipient_totals[j])
+                    ui, tau = np.nonzero(tr.outcome.matched >= 0)
+                    counts[tr.outcome.matched[ui, tau], tau] += 1
                 assert np.array_equal(agg.match_counts, counts)
                 assert agg.recipient_totals.sum(axis=1) == pytest.approx(agg.totals, abs=1e-12)
                 matched_weight = (agg.match_counts * s.weights).sum()
@@ -290,13 +290,8 @@ def test_rate_rounding_policy_respects_the_spacing():
             keep_trials=True,
         )
         for tr in agg.trials:
-            steps = {}
-            for t, es in tr.outcome.matched.items():
-                for u, _v in es:
-                    steps.setdefault(u, []).append(t)
-            for ts in steps.values():
-                ts.sort()
-                assert all(b - a >= s.rate_limit for a, b in zip(ts, ts[1:]))
+            for row in tr.outcome.matched:
+                assert np.all(np.diff(np.flatnonzero(row >= 0)) >= s.rate_limit)
 
 
 def test_adaptmatch_never_scores_below_its_plan():

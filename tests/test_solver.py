@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from donormatch.graph import (
     Recipient,
     build_scenario,
     validate_scenario,
+    with_normalization,
 )
 from donormatch.oracle import brute_force_opt
 from donormatch.solver import (
@@ -29,6 +31,7 @@ from donormatch.solver import (
     solve_ratelimit_lp,
     solve_ratelimit_opt,
 )
+from donormatch.synthgen import generate_city, load_bundled_config
 from donormatch.windows import _window_cells
 
 
@@ -292,6 +295,19 @@ def test_realization_shape_mismatch_rejected():
     s = two_recipient_instance()
     with pytest.raises(ValueError, match="shape"):
         solve_offline_opt(s, DemandRealization(np.ones((3, 1))), gamma=0.0)
+
+
+def test_an_oversized_dense_lp_is_refused_before_it_is_built():
+    # Riverton's rate-limited LP would need a 2791 x 16923 tableau (380 MB)
+    # and hours of pivots; city_small's, at 377 x 3199, still solves.
+    s = generate_city(load_bundled_config("riverton"))
+    s = with_normalization(s, np.ones(s.n_recipients))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2791 rows x 14132 columns"):
+        solve_ratelimit_lp(s, 0.5)
+    assert time.perf_counter() - start < 10.0
+    small = generate_city(load_bundled_config("city_small"))
+    assert solve_ratelimit_lp(small, 0.0).objective > 0.0
 
 
 def _per_donor_step(s, sol):
