@@ -56,7 +56,7 @@ alpha = default_alpha(s, MODE_RATE)
 print(f"rounding scale alpha = 1/(2D) = {alpha:.3f} "
       f"for maximum donor degree {round(1 / (2 * alpha))}")
 beta = estimate_beta(s, gamma, alpha, trials=400, rng=np.random.default_rng(1), lp=lp)
-print(f"fixed-point beta estimate: min {beta.beta.min():.3f} "
+print(f"fixed-point beta estimate: min {beta.min():.3f} "
       f"(the union bound guarantees at least 1 - alpha = {1 - alpha:.3f})")
 print()
 
@@ -64,7 +64,7 @@ plan = nadaplp_rate_plan(s, gamma, alpha, beta, np.random.default_rng(2), lp=lp)
 print("one drawn plan (donor, day, edge):")
 for ui, donor in enumerate(s.donors):
     for t in range(1, s.horizon + 1):
-        e = int(plan.assignment[ui, t - 1])
+        e = int(plan[ui, t - 1])
         if e >= 0:
             u, v = s.edges[e]
             print(f"  {donor.id} day {t}: {u}->{v}")

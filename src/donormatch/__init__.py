@@ -36,9 +36,7 @@ from .oracle import (
     find_proportional_allocation,
 )
 from .policies import (
-    BetaEstimate,
     PolicySpec,
-    PreMatchPlan,
     default_alpha,
     estimate_beta,
     nadaplp_plan,
@@ -76,7 +74,6 @@ from .synthgen import (
 
 __all__ = [
     "AggregateResult",
-    "BetaEstimate",
     "DemandRealization",
     "Donor",
     "EnumerationError",
@@ -87,7 +84,6 @@ __all__ = [
     "MODE_RATE",
     "MatchingOutcome",
     "PolicySpec",
-    "PreMatchPlan",
     "Recipient",
     "Scenario",
     "TrialResult",

@@ -37,12 +37,7 @@ from .metrics import fairness_report, gamma_of, scored_recipients
 from .oracle import EnumerationError, brute_force_opt
 from .policies import PolicySpec, parse_policy
 from .simulate import draw_realization, estimate_normalization, monte_carlo_evaluate
-from .solver import (
-    solve_fixedtime_lp,
-    solve_nadapopt_lp,
-    solve_offline_opt,
-    solve_ratelimit_opt,
-)
+from .solver import solve_fixedtime_lp, solve_offline_opt, solve_ratelimit_opt
 from . import synthgen
 
 SWEEP_GAMMAS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -219,14 +214,13 @@ def sweep_rows(
     m = _norm_dict(s)
     bound0 = solve_fixedtime_lp(s, 0.0).objective
 
-    def evaluate(policy, stream, lp=None):
+    def evaluate(policy, stream):
         return monte_carlo_evaluate(
             s,
             policy,
             trials=trials,
             realization_mode="resampled",
             rng=np.random.default_rng([seed, stream]),
-            lp=lp,
         )
 
     max_agg = evaluate(PolicySpec("max"), 1)
@@ -243,9 +237,8 @@ def sweep_rows(
     for label, agg in (("max", max_agg), ("rand", rand_agg)):
         rows.append(_sweep_row(label, 0.0, report(agg, bound0)))
     for j, gamma in enumerate(gammas):
-        plan_lp = solve_nadapopt_lp(s, gamma)
         bound = bound0 if gamma == 0.0 else solve_fixedtime_lp(s, gamma).objective
-        agg = evaluate(PolicySpec("adaptmatch", gamma=gamma), 3 + j, lp=plan_lp)
+        agg = evaluate(PolicySpec("adaptmatch", gamma=gamma), 3 + j)
         rows.append(_sweep_row("adaptmatch", gamma, report(agg, bound)))
     return rows
 
@@ -458,6 +451,16 @@ def _parse_gammas(text: str) -> List[float]:
     return out
 
 
+def _trial_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
@@ -467,7 +470,7 @@ def _parser() -> argparse.ArgumentParser:
         default="fixed",
         help="notification protocol: fixed-time schedule or rate limit",
     )
-    common.add_argument("--trials", type=int, default=50, help="Monte Carlo trials")
+    common.add_argument("--trials", type=_trial_count, default=50, help="Monte Carlo trials")
     common.add_argument("--out-dir", default=".", help="directory for output files")
 
     parser = argparse.ArgumentParser(
@@ -516,7 +519,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits with 2 on malformed arguments
+        return exc.code
     return args.func(args)
 
 

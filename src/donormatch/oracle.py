@@ -21,13 +21,7 @@ from .graph import (
     Edge,
     Scenario,
 )
-from .policies import (
-    BetaEstimate,
-    PolicySpec,
-    PreMatchPlan,
-    _over_availability,
-    default_alpha,
-)
+from .policies import PolicySpec, _over_availability, default_alpha
 from .solver import (
     _check_inputs,
     solve_fixedtime_lp,
@@ -116,10 +110,10 @@ class _Enumeration:
                         self.feasible &= ~both
 
     def proportional(self, gamma: float) -> np.ndarray:
-        m = _check_inputs(self.scenario, gamma)
-        if m is None or self.scenario.n_recipients < 2:
+        band = _check_inputs(self.scenario, gamma)
+        if band.size == 0:
             return np.ones(self.edge_of.shape[0], dtype=bool)
-        sv = self.recipient_weight / m
+        sv = self.recipient_weight[:, band] / self.scenario.normalization[band]
         return gamma * sv.max(axis=1) <= sv.min(axis=1) + PROP_TOL
 
     def best(self, gamma: float) -> Tuple[float, np.ndarray]:
@@ -154,12 +148,13 @@ def find_proportional_allocation(
 
     The atemporal decision problem: gamma must be positive (at zero every
     non-empty set qualifies and the question is vacuous), weights are
-    taken at the first step, and schedules play no role. Exhaustive over
-    per-donor choices.
+    taken at the first step, and schedules play no role. Recipients with
+    m_v = 0 are left out of the comparison, as from the solvers' band.
+    Exhaustive over per-donor choices.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    m = _check_inputs(s, gamma)
+    band = _check_inputs(s, gamma)
     if s.n_donors > MAX_SLOTS:
         raise EnumerationError(
             f"{s.n_donors} donors exceeds the {MAX_SLOTS}-slot enumeration bound"
@@ -185,8 +180,8 @@ def find_proportional_allocation(
         sv = np.zeros(s.n_recipients)
         for e in chosen:
             sv[s.edge_recipient[e]] += s.weights[e, 0]
-        sv /= m
-        if gamma * sv.max() <= sv.min() + PROP_TOL:
+        sv = sv[band] / s.normalization[band]
+        if band.size == 0 or gamma * sv.max() <= sv.min() + PROP_TOL:
             return [s.edges[e] for e in chosen]
     return None
 
@@ -199,16 +194,17 @@ def brute_force_policy_expectation(
     s: Scenario,
     policy: PolicySpec,
     r: DemandRealization,
-    plan: Optional[PreMatchPlan] = None,
-    beta: Optional[BetaEstimate] = None,
+    plan: Optional[np.ndarray] = None,
+    beta: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
     """Exact E[Y_v] for one policy on one fixed realization.
 
     The expectation runs over the policy's own randomness: decision draws
     for the myopic kinds, the plan draw for plan-based kinds when no
-    concrete plan is given. Pass ``plan`` to condition on one drawn plan
-    instead; ``beta`` is required for the rate-limited rounding kind in
-    distribution mode.
+    concrete plan is given. Pass ``plan``, a (U, T) array of pre-matched
+    edge indices, to condition on one drawn plan instead; ``beta``, the
+    (U, T) free-probability estimate, is required for the rate-limited
+    rounding kind in distribution mode.
     """
     if s.n_donors * s.horizon * max(s.rate_limit, 1) > MAX_STATES:
         raise EnumerationError(
@@ -266,15 +262,12 @@ def _add_cell_expectation(s, policy, avail, ey, ui, t, plan, pi):
         np.add.at(ey, s.edge_recipient[open_edges], dist * s.weights[open_edges, t - 1])
         return
 
-    fallback = (
-        policy.fallback_gamma if policy.fallback_gamma is not None else policy.gamma
-    )
     if plan is not None:
-        e = int(plan.assignment[ui, t - 1])
+        e = int(plan[ui, t - 1])
         if e >= 0 and avail[s.edge_recipient[e], t - 1]:
             ey[s.edge_recipient[e]] += s.weights[e, t - 1]
         elif kind == "adaptmatch":
-            dist = _myopic_distribution(s, open_edges, t, "randmax", fallback)
+            dist = _myopic_distribution(s, open_edges, t, "randmax", policy.gamma)
             np.add.at(
                 ey, s.edge_recipient[open_edges], dist * s.weights[open_edges, t - 1]
             )
@@ -285,7 +278,7 @@ def _add_cell_expectation(s, policy, avail, ey, ui, t, plan, pi):
     np.add.at(ey, s.edge_recipient[es], lands * s.weights[es, t - 1])
     if kind == "adaptmatch":
         miss = 1.0 - lands.sum()
-        dist = _myopic_distribution(s, open_edges, t, "randmax", fallback)
+        dist = _myopic_distribution(s, open_edges, t, "randmax", policy.gamma)
         np.add.at(
             ey, s.edge_recipient[open_edges], miss * dist * s.weights[open_edges, t - 1]
         )
@@ -307,7 +300,7 @@ def _add_rate_walk_expectation(s, policy, avail, ey, ui, plan, pi):
             if t < free_at:
                 continue
             if plan is not None:
-                e = int(plan.assignment[ui, t - 1])
+                e = int(plan[ui, t - 1])
                 if e >= 0 and avail[s.edge_recipient[e], t - 1]:
                     ey[s.edge_recipient[e]] += s.weights[e, t - 1]
                     free_at = t + K
@@ -342,7 +335,7 @@ def _add_rate_walk_expectation(s, policy, avail, ey, ui, plan, pi):
 
 
 def _plan_distribution(
-    s: Scenario, policy: PolicySpec, beta: Optional[BetaEstimate]
+    s: Scenario, policy: PolicySpec, beta: Optional[np.ndarray]
 ) -> np.ndarray:
     """Per-cell pre-match probabilities, mirroring the plan samplers."""
     alpha = policy.alpha
@@ -357,10 +350,10 @@ def _plan_distribution(
     if policy.kind == "nadaplp_rate":
         if beta is None:
             raise ValueError(
-                "the rate-limited rounding kind needs a BetaEstimate in "
+                "the rate-limited rounding kind needs the beta estimate in "
                 "distribution mode"
             )
         lp = solve_ratelimit_lp(s, policy.gamma)
         probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-        return probs / np.maximum(beta.beta[s.edge_donor], 1e-12)
+        return probs / np.maximum(beta[s.edge_donor], 1e-12)
     raise ValueError(f"unsupported policy kind {policy.kind!r}")

@@ -3,12 +3,15 @@
 Two families live here. The myopic rules (rand and max, with randmax
 mixing the two) look only at the edges available right now and answer
 one question: which edge, if any, does donor u match at step t. The
-plan-based policies commit in advance: an LP solution is sampled into a
-PreMatchPlan assigning at most one edge per donor per step, and at run
-time the pre-matched edge is used exactly when its recipient shows up.
-AdaptMatch executes a plan but falls back to the myopic mixture when the
-pre-match misses. One array kernel, ``_match_edges``, applies every rule
-to whole batches of trials; the simulator and ``estimate_beta`` share it.
+plan-based policies commit in advance: ``plan_probabilities`` turns the
+solved relaxation of the kind (``plan_relaxation``) into per-(edge, step)
+pre-match probabilities, and a plan drawn from them is a (U, T) array
+holding the edge pre-matched for each donor and step, -1 for none. At
+run time the pre-matched edge is used exactly when its recipient shows
+up. AdaptMatch executes a plan but falls back to the myopic mixture when
+the pre-match misses. One array kernel, ``_match_edges``, applies every
+rule to whole batches of trials; the simulator and ``estimate_beta``
+share it.
 
 Every function takes the generator or uniforms it should draw from;
 nothing here seeds or splits streams. The simulator owns stream layout so
@@ -63,14 +66,12 @@ class PolicySpec:
     probability for randmax, the plan's LP parameter for the plan-based
     kinds. ``alpha`` scales pre-match mass for the two LP-rounding kinds
     and may stay None to mean the always-valid default (1/D fixed-time,
-    1/(2D) rate-limited). ``fallback_gamma`` is adaptmatch's coin for the
-    miss branch; None defaults it to ``gamma``.
+    1/(2D) rate-limited). adaptmatch's miss branch is randmax at ``gamma``.
     """
 
     kind: str
     gamma: float = 0.0
     alpha: Optional[float] = None
-    fallback_gamma: Optional[float] = None
     mode: str = MODE_FIXED
 
     def __post_init__(self):
@@ -82,13 +83,6 @@ class PolicySpec:
             raise ValueError(f"{self.kind} takes no alpha")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.fallback_gamma is not None:
-            if self.kind != "adaptmatch":
-                raise ValueError(f"{self.kind} takes no fallback_gamma")
-            if not 0.0 <= self.fallback_gamma <= 1.0:
-                raise ValueError(
-                    f"fallback_gamma must lie in [0, 1], got {self.fallback_gamma}"
-                )
         if self.mode not in (MODE_FIXED, MODE_RATE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind == "nadaplp_rate" and self.mode != MODE_RATE:
@@ -142,7 +136,7 @@ def parse_policy(text: str, mode: str = MODE_FIXED) -> PolicySpec:
             if "=" in item:
                 key, val = item.split("=", 1)
                 key = key.strip()
-                if key not in ("gamma", "alpha", "fallback_gamma"):
+                if key not in ("gamma", "alpha"):
                     raise ValueError(f"unknown policy parameter {key!r} in {text!r}")
                 kwargs[key] = float(val)
             elif "gamma" in kwargs:
@@ -152,26 +146,58 @@ def parse_policy(text: str, mode: str = MODE_FIXED) -> PolicySpec:
     return PolicySpec(kind=kind, mode=mode, **kwargs)
 
 
-@dataclass(frozen=True)
-class PreMatchPlan:
-    """Sampled pre-match assignment M_ut.
-
-    ``assignment[u, t-1]`` holds the edge index pre-matched for donor u at
-    step t, or -1 for none.
-    """
-
-    assignment: np.ndarray
-
-
-@dataclass(frozen=True)
-class BetaEstimate:
-    """Estimated availability probabilities beta_ut, shape (U, T)."""
-
-    beta: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # pre-match plans
+
+
+def plan_relaxation(s: Scenario, kind: str, gamma: float) -> LpSolution:
+    """Solve the relaxation a plan kind rounds, at the given gamma."""
+    # Built per call, so that perfbench's tracer sees every solve.
+    table = {
+        "nadaplp": solve_fixedtime_lp,
+        "nadapopt": solve_nadapopt_lp,
+        "adaptmatch": solve_nadapopt_lp,
+        "nadaplp_rate": solve_ratelimit_lp,
+    }
+    return table[kind](s, gamma)
+
+
+def plan_probabilities(
+    s: Scenario,
+    kind: str,
+    lp: LpSolution,
+    alpha: float,
+    beta: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per-(edge, step) pre-match probabilities of a plan kind, shape (E, T).
+
+    nadaplp pre-matches e at t with probability alpha*x*/p, nadaplp_rate
+    with alpha*x*/(beta*p), where ``beta`` is the (U, T) estimate of the
+    donor being free; nadapopt and adaptmatch use y* as it stands and
+    ignore alpha. Raises when a (donor, step) distribution's mass exceeds
+    one, which alpha = default_alpha never allows.
+    """
+    probs = np.clip(lp.x, 0.0, None)
+    if kind in _ALPHA_KINDS:
+        probs = _over_availability(s, probs) * alpha
+    if kind == "nadaplp_rate":
+        probs = probs / np.maximum(beta[s.edge_donor], 1e-12)
+    mass = _mass_by_donor_step(s, probs)
+    over = np.argwhere(mass > 1.0 + VALIDITY_TOL)
+    if over.size:
+        ui, tau = over[0]
+        raise ValueError(
+            f"{kind} pre-match distribution invalid: mass {mass[ui, tau]:.6f} > 1 "
+            f"for donor {s.donors[ui].id!r} at step {tau + 1} (reduce alpha)"
+        )
+    return probs
+
+
+def _sample_plan(s, kind, gamma, alpha, beta, rng, lp) -> np.ndarray:
+    if lp is None:
+        lp = plan_relaxation(s, kind, gamma)
+    probs = plan_probabilities(s, kind, lp, alpha, beta)
+    return _draw_assignment(s, probs, rng.random((s.n_donors, s.horizon)))
 
 
 def nadaplp_plan(
@@ -180,18 +206,14 @@ def nadaplp_plan(
     alpha: float,
     rng: np.random.Generator,
     lp: Optional[LpSolution] = None,
-) -> PreMatchPlan:
-    """Sample a plan that pre-matches e at t with probability alpha*x*/p.
+) -> np.ndarray:
+    """Sample a (U, T) plan that pre-matches e at t with probability alpha*x*/p.
 
     x* is the fixed-time relaxation's optimum at the given gamma (pass a
     solved ``lp`` to reuse one). alpha must keep every per-(donor, step)
     distribution's total mass at or below one; alpha = 1/D always does.
     """
-    if lp is None:
-        lp = solve_fixedtime_lp(s, gamma)
-    probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-    _check_valid(s, probs, "nadaplp")
-    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
+    return _sample_plan(s, "nadaplp", gamma, alpha, None, rng, lp)
 
 
 def nadapopt_plan(
@@ -199,12 +221,9 @@ def nadapopt_plan(
     gamma: float,
     rng: np.random.Generator,
     lp: Optional[LpSolution] = None,
-) -> PreMatchPlan:
-    """Sample a plan from the optimal non-adaptive probabilities y*."""
-    if lp is None:
-        lp = solve_nadapopt_lp(s, gamma)
-    probs = np.clip(lp.x, 0.0, None)
-    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
+) -> np.ndarray:
+    """Sample a (U, T) plan from the optimal non-adaptive probabilities y*."""
+    return _sample_plan(s, "nadapopt", gamma, None, None, rng, lp)
 
 
 def estimate_beta(
@@ -214,7 +233,7 @@ def estimate_beta(
     trials: int,
     rng: np.random.Generator,
     lp: Optional[LpSolution] = None,
-) -> BetaEstimate:
+) -> np.ndarray:
     """Estimate beta_ut, the chance donor u is rate-limit-free at step t.
 
     Fixed-point simulation: starting from beta = 1, repeatedly build the
@@ -224,7 +243,7 @@ def estimate_beta(
     union bound 1 - sum of alpha*x* over the donor's previous K - 1
     steps, which the relaxation's packing rows keep at 1 - alpha or
     better; in particular alpha = 1/(2D) keeps every beta at 1/2 or
-    better. beta_u1 is exactly 1.
+    better. beta_u1 is exactly 1. Returns the (U, T) array.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -244,29 +263,25 @@ def estimate_beta(
         blocked = _prior_sum(hit, s.rate_limit) > 0
         beta = np.maximum((~blocked).sum(axis=0) / float(trials), floor)
         beta[:, 0] = 1.0
-    return BetaEstimate(beta)
+    return beta
 
 
 def nadaplp_rate_plan(
     s: Scenario,
     gamma: float,
     alpha: float,
-    beta: BetaEstimate,
+    beta: np.ndarray,
     rng: np.random.Generator,
     lp: Optional[LpSolution] = None,
-) -> PreMatchPlan:
-    """Sample a rate-limited plan: e at t with probability alpha*x*/(beta*p).
+) -> np.ndarray:
+    """Sample a rate-limited (U, T) plan: e at t with probability alpha*x*/(beta*p).
 
-    x* is the rate-limited relaxation's optimum; execution still honors
-    the K-day rule (the simulator skips blocked donors), beta only
-    corrects the pre-match mass for the chance of being blocked.
+    x* is the rate-limited relaxation's optimum and ``beta`` the (U, T)
+    array from estimate_beta; execution still honors the K-day rule (the
+    simulator skips blocked donors), beta only corrects the pre-match
+    mass for the chance of being blocked.
     """
-    if lp is None:
-        lp = solve_ratelimit_lp(s, gamma)
-    probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-    probs = probs / np.maximum(beta.beta[s.edge_donor], 1e-12)
-    _check_valid(s, probs, "nadaplp_rate")
-    return PreMatchPlan(_draw_assignment(s, probs, rng.random(s.donor_schedule.shape)))
+    return _sample_plan(s, "nadaplp_rate", gamma, alpha, beta, rng, lp)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +294,6 @@ def _over_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     np.divide(x, p, out=out, where=p > 0.0)
     return out
-
-
-def _check_valid(s: Scenario, probs: np.ndarray, kind: str) -> None:
-    mass = _mass_by_donor_step(s, probs)
-    over = np.argwhere(mass > 1.0 + VALIDITY_TOL)
-    if over.size:
-        ui, tau = over[0]
-        raise ValueError(
-            f"{kind} pre-match distribution invalid: mass {mass[ui, tau]:.6f} > 1 "
-            f"for donor {s.donors[ui].id!r} at step {tau + 1} (reduce alpha)"
-        )
 
 
 def _scale_to_valid(s: Scenario, probs: np.ndarray) -> np.ndarray:
@@ -335,8 +339,7 @@ def _match_edges(
 
     - a plan kind takes the pre-matched edge when its recipient is up;
     - the myopic rule flips ``uniforms[.., u, t, 0] < coin``, where the
-      coin is 1 for rand, 0 for max and ``gamma`` otherwise (adaptmatch
-      passes its fallback gamma). Heads, every available edge is a
+      coin is 1 for rand, 0 for max and ``gamma`` otherwise. Heads, every available edge is a
       candidate; tails, the available edges of largest weight. Of the n
       candidates in edge order it takes number
       min(floor(uniforms[.., u, t, 1] * n), n - 1);

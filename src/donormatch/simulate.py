@@ -13,6 +13,10 @@ Each trial then owns counter-separated streams derived from its key:
     realization draw   counter [0, 0, 0, 2]
     decisions          counter [0, 0, 0, 3]
 
+Plan kinds compute their pre-match probabilities once per evaluation;
+each trial's plan is drawn from one (U, T) block of its plan stream, a
+chunk of trials at a time.
+
 The decision stream gives each trial one (U, T, 2) block of uniforms,
 drawn only by the kinds that decide on the spot (rand, max, randmax,
 adaptmatch). Cell (u, t) reads ``[u, t, 0:2]``, a coin and a pick, and
@@ -43,22 +47,15 @@ from .graph import (
 from .policies import (
     DRAW_KINDS,
     TRIAL_CHUNK,
-    BetaEstimate,
     PolicySpec,
-    PreMatchPlan,
+    _draw_assignment,
     _match_edges,
     default_alpha,
     estimate_beta,
-    nadaplp_plan,
-    nadaplp_rate_plan,
-    nadapopt_plan,
+    plan_probabilities,
+    plan_relaxation,
 )
-from .solver import (
-    LpSolution,
-    solve_fixedtime_lp,
-    solve_nadapopt_lp,
-    solve_ratelimit_lp,
-)
+from .solver import LpSolution
 
 _CTR_PLAN = 1
 _CTR_REALIZATION = 2
@@ -121,19 +118,20 @@ def run_policy(
     policy: PolicySpec,
     r: DemandRealization,
     rng: np.random.Generator,
-    plan: Optional[PreMatchPlan] = None,
+    plan: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> TrialResult:
     """Run one trial of a policy over the horizon on realization r.
 
     Fixed-time mode lets a donor act exactly on its scheduled days;
     rate-limited mode lets it act whenever at least K steps have passed
-    since its last match. Plan-based kinds require ``plan``; rng is the
-    trial's decision stream.
+    since its last match. Plan-based kinds require ``plan``, the (U, T)
+    pre-matched edge indices; rng is the trial's decision stream.
     """
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
-    matched = _match_trials(s, policy, [r], [plan], [rng])
+    plans = None if plan is None else np.asarray(plan)[None]
+    matched = _match_trials(s, policy, [r], plans, [rng])
     return TrialResult(outcome_from_matches(s, matched[0]), seed, policy)
 
 
@@ -141,18 +139,15 @@ def _match_trials(
     s: Scenario,
     policy: PolicySpec,
     realizations: Sequence[DemandRealization],
-    plans: Sequence[Optional[PreMatchPlan]],
+    plans: Optional[np.ndarray],
     streams: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """(n, U, T) matched edge indices of n trials, one stream each."""
-    assignment = uniforms = None
-    if policy.needs_plan:
-        assignment = np.stack([p.assignment for p in plans])
+    """(n, U, T) matched edge indices of n trials (and plans), one stream each."""
+    uniforms = None
     if policy.kind in DRAW_KINDS:
         uniforms = np.stack([g.random((s.n_donors, s.horizon, 2)) for g in streams])
-    coin = policy.gamma if policy.fallback_gamma is None else policy.fallback_gamma
     available = np.stack([np.asarray(r.available) != 0 for r in realizations])
-    return _match_edges(s, policy.mode, policy.kind, coin, available, assignment, uniforms)
+    return _match_edges(s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms)
 
 
 def estimate_normalization(
@@ -194,16 +189,17 @@ def monte_carlo_evaluate(
     rng: Optional[np.random.Generator] = None,
     realization: Optional[DemandRealization] = None,
     lp: Optional[LpSolution] = None,
-    beta: Optional[BetaEstimate] = None,
+    beta: Optional[np.ndarray] = None,
     keep_trials: bool = False,
 ) -> AggregateResult:
     """Evaluate a policy over Monte Carlo trials.
 
     ``realization_mode="fixed"`` runs every trial on one realization (the
     one given, or a single draw); ``"resampled"`` draws a fresh one per
-    trial. Plan-based kinds solve their LP once here and redraw the plan
-    each trial; pass ``lp`` (and ``beta`` for the rate-limited rounding
-    kind) to reuse existing solutions.
+    trial. Plan-based kinds solve their LP and compute its pre-match
+    probabilities once here and redraw the plan each trial; pass ``lp``
+    (and the (U, T) ``beta`` for the rate-limited rounding kind) to reuse
+    existing solutions.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -214,17 +210,14 @@ def monte_carlo_evaluate(
 
     keys = _trial_key(rng, trials)
 
-    alpha = policy.alpha
-    if alpha is None:
-        alpha = default_alpha(s, policy.mode)
-    if policy.kind == "nadaplp":
-        lp = lp or solve_fixedtime_lp(s, policy.gamma)
-    elif policy.kind in ("nadapopt", "adaptmatch"):
-        lp = lp or solve_nadapopt_lp(s, policy.gamma)
-    elif policy.kind == "nadaplp_rate":
-        lp = lp or solve_ratelimit_lp(s, policy.gamma)
-        if beta is None:
+    probs = None
+    if policy.needs_plan:
+        alpha = default_alpha(s, policy.mode) if policy.alpha is None else policy.alpha
+        if lp is None:
+            lp = plan_relaxation(s, policy.kind, policy.gamma)
+        if policy.kind == "nadaplp_rate" and beta is None:
             beta = estimate_beta(s, policy.gamma, alpha, BETA_ESTIMATE_TRIALS, rng, lp=lp)
+        probs = plan_probabilities(s, policy.kind, lp, alpha, beta)
 
     fixed_r = None
     if realization_mode == "fixed":
@@ -235,14 +228,6 @@ def monte_carlo_evaluate(
     match_counts = np.zeros((s.n_edges, s.horizon))
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
-    def plan_of(key):
-        plan_rng = _stream(key, _CTR_PLAN)
-        if policy.kind == "nadaplp":
-            return nadaplp_plan(s, policy.gamma, alpha, plan_rng, lp=lp)
-        if policy.kind == "nadaplp_rate":
-            return nadaplp_rate_plan(s, policy.gamma, alpha, beta, plan_rng, lp=lp)
-        return nadapopt_plan(s, policy.gamma, plan_rng, lp=lp)
-
     for lo in range(0, trials, TRIAL_CHUNK):
         chunk = keys[lo : lo + TRIAL_CHUNK]
         rows = slice(lo, lo + len(chunk))
@@ -250,12 +235,12 @@ def monte_carlo_evaluate(
             realizations = [draw_realization(s, _stream(k, _CTR_REALIZATION)) for k in chunk]
         else:
             realizations = [fixed_r] * len(chunk)
+        plans = None
+        if probs is not None:
+            plan_uniforms = [_stream(k, _CTR_PLAN).random((s.n_donors, s.horizon)) for k in chunk]
+            plans = _draw_assignment(s, probs, np.stack(plan_uniforms))
         matched = _match_trials(
-            s,
-            policy,
-            realizations,
-            [plan_of(k) if policy.needs_plan else None for k in chunk],
-            [_stream(k, _CTR_DECIDE) for k in chunk],
+            s, policy, realizations, plans, [_stream(k, _CTR_DECIDE) for k in chunk]
         )
         recip[rows] = matched_weights(s, matched)
         totals[rows] = [sum(y) for y in recip[rows].tolist()]

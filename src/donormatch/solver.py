@@ -7,7 +7,10 @@ notification day), w = K in the rate-limited setting, where the
 availability indicator a_ut has been substituted out. With gamma > 0
 the normalized recipient totals s_v are held in the proportionality
 band: two auxiliary variables bound the smallest and largest s_v, and
-one row keeps the smallest at least gamma times the largest.
+one row keeps the smallest at least gamma times the largest. The band
+holds the recipients with a positive normalization score m_v only (those
+with m_v = 0 have no place on the Gamma scale), and is dropped when
+fewer than two are scored.
 
 Integral variants run branch and bound seeded with the empty matching,
 which is always feasible. Fractional variants hit the simplex directly.
@@ -38,6 +41,12 @@ _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
 # city_small's rate-limited LP 1.2M; the larger cities' rate LPs 41M-54M.
 MAX_TABLEAU_ENTRIES = 8_000_000
 
+# Most binaries a banded integral solve may branch over: city_small at
+# gamma 0.5 (318) ran 698 s, then out of nodes; enumeration-checkable
+# instances have at most 40. Without a band the window rows are step
+# intervals, so the root LP is integral and no limit applies.
+MAX_BANDED_BINARIES = 64
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -45,9 +54,9 @@ class LpSolution:
 
     ``x[e, t-1]`` is x_et (or y_et for the non-adaptive kind), binary for
     the integral kinds up to rounding. ``s[v]`` is the normalized matched
-    weight, NaN when the scenario carries no normalization scores. ``a``
-    is the induced donor availability and is populated only for the
-    rate-limited kinds; elsewhere it is None.
+    weight, NaN when the scenario carries no normalization scores and for
+    recipients whose score is 0. ``a`` is the induced donor availability
+    and is populated only for the rate-limited kinds; elsewhere it is None.
     """
 
     kind: str
@@ -63,11 +72,11 @@ def solve_offline_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSolu
 
     Maximizes total matched weight over integral matchings that notify
     each donor at most once per scheduled day and, for gamma > 0, keep
-    every ordered pair of recipients within the proportionality band.
-    The empty matching is always feasible, so the solve cannot fail for
-    want of a solution; gamma > 0 requires positive normalization scores.
+    every ordered pair of scored recipients within the proportionality
+    band. The empty matching is always feasible, so the solve cannot fail
+    for want of a solution; gamma > 0 requires normalization scores, and
+    a banded solve over more than MAX_BANDED_BINARIES cells is refused.
     """
-    _check_inputs(s, gamma)
     ce, ct = _cells(s, _realized(s, r), scheduled=True)
     cost = s.weights[ce, ct]
     return _solve_cells(s, FIXEDTIME_MILP, ce, ct, cost, np.ones(ce.size), gamma, True)
@@ -81,7 +90,6 @@ def solve_fixedtime_lp(s: Scenario, gamma: float) -> LpSolution:
     objective Z_LP upper-bounds the expected offline optimum at the same
     gamma.
     """
-    _check_inputs(s, gamma)
     ce, ct = _cells(s, s.availability > 0.0, scheduled=True)
     cost = s.weights[ce, ct]
     ub = s.availability[s.edge_recipient[ce], ct]
@@ -96,7 +104,6 @@ def solve_nadapopt_lp(s: Scenario, gamma: float) -> LpSolution:
     proportionality constraints applied to the expected normalized totals
     (these carry the p_vt factor, unlike the offline formulations).
     """
-    _check_inputs(s, gamma)
     ce, ct = _cells(s, s.availability > 0.0, scheduled=True)
     p = s.availability[s.edge_recipient[ce], ct]
     cost = s.weights[ce, ct] * p
@@ -112,7 +119,6 @@ def solve_ratelimit_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSo
     trailing window of width K. The result's ``a`` reports the induced
     availability pattern.
     """
-    _check_inputs(s, gamma)
     ce, ct = _cells(s, _realized(s, r), scheduled=False)
     cost = s.weights[ce, ct]
     return _solve_cells(s, RATELIMIT_MILP, ce, ct, cost, np.ones(ce.size), gamma, True)
@@ -120,28 +126,32 @@ def solve_ratelimit_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSo
 
 def solve_ratelimit_lp(s: Scenario, gamma: float) -> LpSolution:
     """Fractional rate-limited relaxation over the distribution."""
-    _check_inputs(s, gamma)
     ce, ct = _cells(s, s.availability > 0.0, scheduled=False)
     cost = s.weights[ce, ct]
     ub = s.availability[s.edge_recipient[ce], ct]
     return _solve_cells(s, RATELIMIT_LP, ce, ct, cost, ub, gamma, False)
 
 
-def _check_inputs(s: Scenario, gamma: float) -> Optional[np.ndarray]:
-    """Validate gamma and return the normalization scores it needs, if any."""
+def _check_inputs(s: Scenario, gamma: float) -> np.ndarray:
+    """Validate gamma and return the recipients the proportionality band holds.
+
+    Those are the recipients with m_v > 0, for gamma > 0 only; the array
+    is empty when fewer than two qualify, since the band then says nothing.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if gamma > 0.0:
-        m = s.normalization
-        if m is None:
-            raise ValueError("gamma > 0 requires normalization scores on the scenario")
-        if np.any(m <= 0.0):
-            bad = [s.recipients[i].id for i in np.flatnonzero(m <= 0.0)[:5]]
-            raise ValueError(
-                f"gamma > 0 requires positive normalization scores, got m <= 0 for {bad}"
-            )
-        return m
-    return None
+    if gamma == 0.0:
+        return np.zeros(0, dtype=np.int64)
+    m = s.normalization
+    if m is None:
+        raise ValueError("gamma > 0 requires normalization scores on the scenario")
+    if not np.all(m >= 0.0):
+        bad = [s.recipients[i].id for i in np.flatnonzero(~(m >= 0.0))[:5]]
+        raise ValueError(
+            f"gamma > 0 requires nonnegative normalization scores, got m < 0 for {bad}"
+        )
+    scored = np.flatnonzero(m > 0.0)
+    return scored if scored.size >= 2 else scored[:0]
 
 
 def _realized(s: Scenario, r: DemandRealization) -> np.ndarray:
@@ -174,37 +184,43 @@ def _solve_cells(
     gamma: float,
     integral: bool,
 ) -> LpSolution:
-    nc = ce.size
+    band = _check_inputs(s, gamma)
+    nc, nb = ce.size, band.size
     if nc == 0:
         return _assemble(s, kind, ce, ct, np.zeros(0), cost, 0.0, gamma)
 
-    nv = s.n_recipients
     rows, cols = _window_cells(s, ce, ct, s.rate_limit if kind in _RATE_KINDS else 1)
     m0 = int(rows[-1]) + 1
-    banded = gamma > 0.0 and nv >= 2
-    nrow, ncol = (m0 + 2 * nv + 1, nc + 2) if banded else (m0, nc)
+    nrow, ncol = (m0 + 2 * nb + 1, nc + 2) if nb else (m0, nc)
     if nrow * (ncol + nrow) > MAX_TABLEAU_ENTRIES:
         raise ValueError(
             f"{kind} has {nrow} rows x {ncol} columns; its dense simplex tableau "
             f"would exceed {MAX_TABLEAU_ENTRIES} entries"
+        )
+    if integral and nb and nc > MAX_BANDED_BINARIES:
+        raise ValueError(
+            f"{kind} at gamma {gamma:g} has {nc} binaries; branch and bound under "
+            f"the proportionality band is limited to {MAX_BANDED_BINARIES}"
         )
 
     A = np.zeros((nrow, ncol))
     A[rows, cols] = 1.0
     b = (np.arange(nrow) < m0).astype(float)
     cfull, upfull = cost, ub
-    if banded:
+    if nb:
         # s_v = q_v . x with q_v the per-cell weight contribution over m_v.
-        q = np.zeros((nv, nc))
+        m = s.normalization
+        q = np.zeros((s.n_recipients, nc))
         cr = s.edge_recipient[ce]
-        q[cr, np.arange(nc)] = cost / s.normalization[cr]
+        q[cr, np.arange(nc)] = cost / np.where(m > 0.0, m, np.inf)[cr]
+        q = q[band]
         # Two auxiliaries sandwich the s_v values; one row ties them by gamma.
         smin, smax = nc, nc + 1
-        for v in range(nv):
-            A[m0 + 2 * v, :nc] = q[v]
-            A[m0 + 2 * v, smax] = -1.0
-            A[m0 + 2 * v + 1, :nc] = -q[v]
-            A[m0 + 2 * v + 1, smin] = 1.0
+        upper = m0 + 2 * np.arange(nb)
+        A[upper, :nc] = q
+        A[upper, smax] = -1.0
+        A[upper + 1, :nc] = -q
+        A[upper + 1, smin] = 1.0
         A[-1, smin] = -1.0
         A[-1, smax] = gamma
         cap = float((q @ ub).max()) + 1.0
@@ -243,11 +259,10 @@ def _assemble(
         raw = np.bincount(
             s.edge_recipient[ce], weights=cost * xcells, minlength=s.n_recipients
         ).astype(float)
-    if s.normalization is None:
-        sv = np.full(s.n_recipients, np.nan)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = raw / s.normalization
+    sv = np.full(s.n_recipients, np.nan)
+    if s.normalization is not None:
+        scored = s.normalization > 0.0
+        sv[scored] = raw[scored] / s.normalization[scored]
     a = _induced_availability(s, x) if kind in _RATE_KINDS else None
     return LpSolution(kind, x, sv, a, float(objective), float(gamma))
 

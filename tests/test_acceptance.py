@@ -253,7 +253,7 @@ def test_criterion_08_rate_limited_plans_are_always_valid():
         lp = solve_ratelimit_lp(s, gamma)
         beta = estimate_beta(s, gamma, alpha, trials=beta_trials, rng=rng, lp=lp)
         nadaplp_rate_plan(s, gamma, alpha, beta, rng, lp=lp)  # must not raise
-        assert beta.beta.min() >= 0.5 - slack
+        assert beta.min() >= 0.5 - slack
 
 
 def test_criterion_09_bundled_cities_reproduce_the_qualitative_picture():

@@ -144,6 +144,9 @@ def test_run_rejects_bad_inputs(tiny, tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
     assert main(["run", str(tmp_path / "nope.json"), "max",
                  "--out-dir", str(tmp_path)]) == 2
+    assert main(["run", str(tiny), "max", "--trials", "0",
+                 "--out-dir", str(tmp_path / "zero")]) == 2
+    assert not (tmp_path / "zero").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +206,16 @@ def test_sweep_rejects_the_rate_mode_and_bad_gammas(tiny, tmp_path):
     assert main(["sweep", str(tiny), "--mode", "rate", "--out-dir", str(tmp_path)]) == 2
     assert main(["sweep", str(tiny), "--gammas", "1.5", "--out-dir", str(tmp_path)]) == 2
     assert main(["sweep", str(tiny), "--gammas", ",", "--out-dir", str(tmp_path)]) == 2
+    assert main(["sweep", str(tiny), "--trials", "-3",
+                 "--out-dir", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()
 
 
 @pytest.fixture()
 def dead(tmp_path):
     # B's only edge is never available, so its estimated score is 0: it
-    # has no place on the Gamma scale, and every gamma > 0 formulation
-    # refuses the scenario.
+    # has no place on the Gamma scale, and the gamma > 0 formulations
+    # leave it out of their proportionality band.
     path = tmp_path / "dead.json"
     save_scenario(
         build_scenario(
@@ -226,12 +232,29 @@ def dead(tmp_path):
     return path
 
 
-def test_sweep_reports_a_failed_solve_in_one_line(dead, tmp_path, capsys):
-    argv = ["sweep", str(dead), "--gammas", "0,0.5", "--trials", "5"]
+def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys):
+    # 1,700 one-step donors with two edges each: the fixed-time LP's dense
+    # tableau, 1700 x (3400 + 1700), is over the solver's budget.
+    n = 1_700
+    path = tmp_path / "wide.json"
+    save_scenario(
+        build_scenario(
+            donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(n)],
+            recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.0, 0.1)],
+            edges=[(f"u{i}", v) for i in range(n) for v in ("A", "B")],
+            weights=[1.0] * (2 * n),
+            availability=None,
+            horizon=1,
+            rate_limit=1,
+            normalization={"A": 1.0, "B": 1.0},
+        ),
+        path,
+    )
+    argv = ["sweep", str(path), "--gammas", "0,0.5", "--trials", "5"]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith("sweep failed:")]
-    assert len(failed) == 1 and "normalization" in failed[0]
+    assert len(failed) == 1 and "tableau" in failed[0]
     assert not any(line.startswith("Traceback") for line in err)
 
 
@@ -247,7 +270,15 @@ def test_run_refuses_an_oversized_rate_lp_in_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [["run", "rand"], ["sweep", "--gammas", "0"]], ids=["run", "sweep"]
+    "command",
+    [
+        ["run", "rand"],
+        ["sweep", "--gammas", "0"],
+        ["run", "adaptmatch:0.5"],
+        ["run", "nadaplp_rate:0.5", "--mode", "rate"],
+        ["sweep", "--gammas", "0,0.5,1"],
+    ],
+    ids=["run", "sweep", "run-adaptmatch", "run-rate", "sweep-gammas"],
 )
 def test_unscored_recipients_are_named_in_one_line(dead, tmp_path, capsys, command):
     argv = [command[0], str(dead), *command[1:], "--trials", "5"]

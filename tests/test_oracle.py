@@ -19,6 +19,7 @@ from donormatch.graph import (
     Donor,
     Recipient,
     build_scenario,
+    with_normalization,
 )
 from donormatch.oracle import (
     EnumerationError,
@@ -26,7 +27,7 @@ from donormatch.oracle import (
     brute_force_policy_expectation,
     find_proportional_allocation,
 )
-from donormatch.policies import PolicySpec, PreMatchPlan, estimate_beta
+from donormatch.policies import PolicySpec, estimate_beta
 from donormatch.simulate import monte_carlo_evaluate
 from donormatch.solver import solve_offline_opt, solve_ratelimit_opt
 
@@ -116,6 +117,27 @@ def test_enumeration_agrees_with_the_constraint_solvers():
             assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_enumeration_agrees_with_the_constraint_solvers_when_a_score_is_zero():
+    # A recipient with m_v = 0 has no place on the Gamma scale: the MILPs
+    # and the enumeration both leave it out of the band and hold the rest.
+    rng = np.random.default_rng(12)
+    for _ in range(15):
+        s = random_instance(rng, max_recipients=4)
+        m = s.normalization.copy()
+        m[rng.integers(s.n_recipients)] = 0.0
+        s = with_normalization(s, m)
+        r = random_realization(s, rng)
+        for gamma in (0.5, 1.0):
+            for mode, solve in ((MODE_FIXED, solve_offline_opt), (MODE_RATE, solve_ratelimit_opt)):
+                want, _ = brute_force_opt(s, r, gamma, mode=mode)
+                sol = solve(s, r, gamma)
+                assert sol.objective == pytest.approx(want, abs=1e-6)
+                assert np.isnan(sol.s[m == 0.0]).all()
+                sv = sol.s[m > 0.0]
+                if sv.size >= 2:
+                    assert gamma * sv.max() <= sv.min() + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # exact policy expectations
 
@@ -152,10 +174,10 @@ def test_expectation_conditions_on_a_concrete_plan():
     s = two_recipient_instance()
     r = all_ones_realization(s)
     a = s.edges.index(("u", "A"))
-    plan = PreMatchPlan(np.array([[a]], dtype=np.int64))
+    plan = np.array([[a]], dtype=np.int64)
     got = brute_force_policy_expectation(s, PolicySpec("nadapopt"), r, plan=plan)
     assert got == {"A": 0.9, "B": 0.0}
-    empty = PreMatchPlan(np.full((1, 1), -1, dtype=np.int64))
+    empty = np.full((1, 1), -1, dtype=np.int64)
     got = brute_force_policy_expectation(
         s, PolicySpec("adaptmatch", gamma=0.0), r, plan=empty
     )
@@ -165,7 +187,7 @@ def test_expectation_conditions_on_a_concrete_plan():
 def test_rate_distribution_mode_requires_the_availability_estimate():
     s = two_step_rate_instance()
     r = all_ones_realization(s)
-    with pytest.raises(ValueError, match="BetaEstimate"):
+    with pytest.raises(ValueError, match="beta estimate"):
         brute_force_policy_expectation(
             s, PolicySpec("nadaplp_rate", mode=MODE_RATE), r
         )

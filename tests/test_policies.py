@@ -24,7 +24,6 @@ from donormatch.graph import (
 )
 from donormatch.policies import (
     PolicySpec,
-    PreMatchPlan,
     estimate_beta,
     nadaplp_plan,
     nadaplp_rate_plan,
@@ -91,8 +90,6 @@ def test_spec_validates_parameters_and_mode_pairing():
         PolicySpec("randmax", gamma=1.5)
     with pytest.raises(ValueError, match="alpha"):
         PolicySpec("max", alpha=0.5)
-    with pytest.raises(ValueError, match="fallback_gamma"):
-        PolicySpec("rand", fallback_gamma=0.5)
     with pytest.raises(ValueError, match="rate-limited"):
         PolicySpec("nadaplp_rate")
     with pytest.raises(ValueError, match="fixed-time"):
@@ -180,7 +177,7 @@ def test_lp_rounding_plan_prematch_frequency():
     rng = np.random.default_rng(5)
     n = 20_000
     hits = sum(
-        nadaplp_plan(s, 0.0, 0.6, rng, lp=lp).assignment[0, 0] == 0 for _ in range(n)
+        nadaplp_plan(s, 0.0, 0.6, rng, lp=lp)[0, 0] == 0 for _ in range(n)
     )
     se = np.sqrt(0.6 * 0.4 / n)
     assert abs(hits / n - 0.6) < 3 * se
@@ -191,7 +188,7 @@ def test_lp_rounding_plan_at_zero_alpha_is_empty():
     lp = solve_fixedtime_lp(s, 0.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        assert (nadaplp_plan(s, 0.0, 0.0, rng, lp=lp).assignment == -1).all()
+        assert (nadaplp_plan(s, 0.0, 0.0, rng, lp=lp) == -1).all()
 
 
 def test_lp_rounding_plan_rejects_overfull_mass():
@@ -225,7 +222,7 @@ def test_plan_ignores_mass_on_impossible_cells():
     )
     rng = np.random.default_rng(5)
     for _ in range(20):
-        assert (nadaplp_plan(s, 0.0, 1.0, rng, lp=lp).assignment == -1).all()
+        assert (nadaplp_plan(s, 0.0, 1.0, rng, lp=lp) == -1).all()
 
 
 def test_optimal_nonadaptive_plan_splits_evenly_at_full_fairness():
@@ -234,7 +231,7 @@ def test_optimal_nonadaptive_plan_splits_evenly_at_full_fairness():
     rng = np.random.default_rng(9)
     n = 20_000
     picks = np.array(
-        [nadapopt_plan(s, 1.0, rng, lp=lp).assignment[0, 0] for _ in range(n)]
+        [nadapopt_plan(s, 1.0, rng, lp=lp)[0, 0] for _ in range(n)]
     )
     assert (picks >= 0).all()  # y* sums to one, so someone is always chosen
     se = np.sqrt(0.25 / n)
@@ -246,8 +243,8 @@ def test_execute_prematch_branches():
     a = s.edges.index(("u", "A"))
     both = all_ones_realization(s)
     no_a = DemandRealization(np.array([[0], [1]], dtype=np.int8))
-    empty = PreMatchPlan(np.full((1, 1), -1, dtype=np.int64))
-    planned = PreMatchPlan(np.array([[a]], dtype=np.int64))
+    empty = np.full((1, 1), -1, dtype=np.int64)
+    planned = np.array([[a]], dtype=np.int64)
     spec = PolicySpec("nadapopt")
     rng = np.random.default_rng(0)
     assert decide(s, spec, both, rng, plan=empty) is None
@@ -260,8 +257,8 @@ def test_adaptmatch_uses_the_plan_then_falls_back():
     a = s.edges.index(("u", "A"))
     both = all_ones_realization(s)
     no_a = DemandRealization(np.array([[0], [1]], dtype=np.int8))
-    planned = PreMatchPlan(np.array([[a]], dtype=np.int64))
-    empty = PreMatchPlan(np.full((1, 1), -1, dtype=np.int64))
+    planned = np.array([[a]], dtype=np.int64)
+    empty = np.full((1, 1), -1, dtype=np.int64)
     coin_rand = PolicySpec("adaptmatch", gamma=1.0)
     coin_max = PolicySpec("adaptmatch", gamma=0.0)
     rng = np.random.default_rng(13)
@@ -297,7 +294,7 @@ def test_estimate_beta_trivia():
         horizon=3,
         rate_limit=2,
     )
-    assert (estimate_beta(s, 0.0, 0.5, 50, rng).beta == 1.0).all()
+    assert (estimate_beta(s, 0.0, 0.5, 50, rng) == 1.0).all()
 
 
 def test_estimate_beta_tracks_the_blocking_rate():
@@ -313,10 +310,10 @@ def test_estimate_beta_tracks_the_blocking_rate():
         gamma=0.0,
     )
     est = estimate_beta(s, 0.0, 1.0, 4_000, np.random.default_rng(19), lp=lp)
-    assert est.beta[0, 0] == 1.0
+    assert est[0, 0] == 1.0
     se = np.sqrt(0.2 * 0.8 / 4_000)
     # The analytic floor sits at 0.2, so essentially only upward noise remains.
-    assert 0.2 - 1e-12 <= est.beta[0, 1] <= 0.2 + 3 * se
+    assert 0.2 - 1e-12 <= est[0, 1] <= 0.2 + 3 * se
 
 
 def test_rate_plan_waits_like_its_relaxation():
@@ -325,12 +322,12 @@ def test_rate_plan_waits_like_its_relaxation():
     s = two_step_rate_instance(w1=0.7, w2=1.0)
     lp = solve_ratelimit_lp(s, 0.0)
     beta = estimate_beta(s, 0.0, 0.5, 500, np.random.default_rng(21), lp=lp)
-    assert beta.beta[0, 1] == pytest.approx(1.0)
+    assert beta[0, 1] == pytest.approx(1.0)
     rng = np.random.default_rng(23)
     n = 20_000
     picks = np.array(
         [
-            nadaplp_rate_plan(s, 0.0, 0.5, beta, rng, lp=lp).assignment[0]
+            nadaplp_rate_plan(s, 0.0, 0.5, beta, rng, lp=lp)[0]
             for _ in range(n)
         ]
     )
@@ -350,6 +347,6 @@ def test_rate_rounding_default_alpha_never_overfills():
         for gamma in (0.0, 1.0):
             lp = solve_ratelimit_lp(s, gamma)
             beta = estimate_beta(s, gamma, alpha, 100, rng, lp=lp)
-            assert (beta.beta >= 0.5 - 1e-9).all()
-            assert (beta.beta[:, 0] == 1.0).all()
+            assert (beta >= 0.5 - 1e-9).all()
+            assert (beta[:, 0] == 1.0).all()
             nadaplp_rate_plan(s, gamma, alpha, beta, rng, lp=lp)

@@ -22,14 +22,30 @@ from donormatch.graph import (
     build_scenario,
     validate_outcome,
 )
-from donormatch.policies import PolicySpec, PreMatchPlan
+from donormatch.policies import (
+    PolicySpec,
+    default_alpha,
+    estimate_beta,
+    nadaplp_plan,
+    nadaplp_rate_plan,
+    nadapopt_plan,
+)
 from donormatch.simulate import (
+    _CTR_DECIDE,
+    _CTR_PLAN,
+    _CTR_REALIZATION,
+    _stream,
+    _trial_key,
     draw_realization,
     estimate_normalization,
     monte_carlo_evaluate,
     run_policy,
 )
-from donormatch.solver import solve_fixedtime_lp
+from donormatch.solver import (
+    solve_fixedtime_lp,
+    solve_nadapopt_lp,
+    solve_ratelimit_lp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +161,7 @@ def test_run_policy_matches_the_cell_by_cell_rules():
                     s, spec, r.available, plan if spec.needs_plan else None, uniforms
                 )
                 got = run_policy(
-                    s, spec, r, np.random.default_rng(trial), plan=PreMatchPlan(plan)
+                    s, spec, r, np.random.default_rng(trial), plan=plan
                 )
                 assert np.array_equal(got.outcome.matched, want), (trial, mode, kind)
 
@@ -275,6 +291,56 @@ def test_plan_policies_run_end_to_end():
         assert agg.trial_count == 200
         for tr in agg.trials:
             assert validate_outcome(s, tr.outcome, r) == []
+
+
+def test_each_trials_plan_is_the_samplers_draw_from_its_plan_stream():
+    # monte_carlo_evaluate draws a chunk's plans at once; trial j must still
+    # be run_policy on its own realization and decision streams, with the
+    # public sampler's plan from its own plan stream.
+    rng = np.random.default_rng(30)
+    trials = 2 * 16 + 5  # two full chunks and a partial one
+    for _ in range(4):
+        s = random_instance(rng)
+        fixed, nadapopt, rate = (
+            solve_fixedtime_lp(s, 0.5), solve_nadapopt_lp(s, 0.5), solve_ratelimit_lp(s, 0.5)
+        )
+        alpha_fixed, alpha_rate = default_alpha(s, MODE_FIXED), default_alpha(s, MODE_RATE)
+        beta = estimate_beta(s, 0.5, alpha_rate, 50, rng, lp=rate)
+        cases = [
+            (
+                PolicySpec("nadaplp", gamma=0.5),
+                lambda g: nadaplp_plan(s, 0.5, alpha_fixed, g, lp=fixed),
+            ),
+            (PolicySpec("nadapopt", gamma=0.5), lambda g: nadapopt_plan(s, 0.5, g, lp=nadapopt)),
+            (
+                PolicySpec("adaptmatch", gamma=0.5),
+                lambda g: nadapopt_plan(s, 0.5, g, lp=nadapopt),
+            ),
+            (
+                PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE),
+                lambda g: nadaplp_rate_plan(s, 0.5, alpha_rate, beta, g, lp=rate),
+            ),
+        ]
+        for policy, sample in cases:
+            seed = int(rng.integers(1 << 30))
+            agg = monte_carlo_evaluate(
+                s,
+                policy,
+                trials,
+                realization_mode="resampled",
+                rng=np.random.default_rng(seed),
+                beta=beta if policy.kind == "nadaplp_rate" else None,
+                keep_trials=True,
+            )
+            keys = _trial_key(np.random.default_rng(seed), trials)
+            for j, key in enumerate(keys):
+                r = draw_realization(s, _stream(key, _CTR_REALIZATION))
+                plan = sample(_stream(key, _CTR_PLAN))
+                want = run_policy(s, policy, r, _stream(key, _CTR_DECIDE), plan=plan)
+                assert np.array_equal(agg.trials[j].outcome.matched, want.outcome.matched), (
+                    policy.kind,
+                    j,
+                )
 
 
 def test_rate_rounding_policy_respects_the_spacing():

@@ -24,6 +24,7 @@ from donormatch.graph import (
     with_normalization,
 )
 from donormatch.oracle import brute_force_opt
+from donormatch.simulate import draw_realization
 from donormatch.solver import (
     solve_fixedtime_lp,
     solve_nadapopt_lp,
@@ -281,11 +282,19 @@ def test_positive_gamma_needs_positive_normalization():
     bare = two_recipient_instance(normalization=False)
     with pytest.raises(ValueError):
         solve_nadapopt_lp(bare, gamma=0.5)
+    # A zero score leaves its recipient out of the band, and one scored
+    # recipient is no band at all: the LP is the gamma = 0 one.
     zeroed = dataclasses.replace(
         two_recipient_instance(), normalization=np.array([0.0, 0.5])
     )
-    with pytest.raises(ValueError, match="normalization"):
-        solve_nadapopt_lp(zeroed, gamma=0.5)
+    banded, free = solve_nadapopt_lp(zeroed, gamma=0.5), solve_nadapopt_lp(zeroed, gamma=0.0)
+    assert np.array_equal(banded.x, free.x) and banded.objective == free.objective
+    assert np.isnan(banded.s[0]) and banded.s[1] == pytest.approx(2.0)
+    negative = dataclasses.replace(
+        two_recipient_instance(), normalization=np.array([-0.1, 0.5])
+    )
+    with pytest.raises(ValueError, match="nonnegative normalization"):
+        solve_nadapopt_lp(negative, gamma=0.5)
     # gamma = 0 runs without scores; normalized totals are just undefined.
     sol = solve_nadapopt_lp(bare, gamma=0.0)
     assert np.isnan(sol.s).all()
@@ -295,6 +304,22 @@ def test_realization_shape_mismatch_rejected():
     s = two_recipient_instance()
     with pytest.raises(ValueError, match="shape"):
         solve_offline_opt(s, DemandRealization(np.ones((3, 1))), gamma=0.0)
+
+
+def test_a_large_banded_integral_solve_is_refused_before_branching():
+    # At this seed city_small has 318 binaries fixed-time and 2,124
+    # rate-limited; under the band the fixed-time solve used to run 698 s
+    # and then out of nodes. At gamma 0 the root LP is integral and both
+    # kinds still solve.
+    s = generate_city(load_bundled_config("city_small"))
+    s = with_normalization(s, np.ones(s.n_recipients))
+    r = draw_realization(s, np.random.default_rng([0, 9]))
+    for solve in (solve_offline_opt, solve_ratelimit_opt):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"has \d+ binaries"):
+            solve(s, r, 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert solve(s, r, 0.0).objective > 0.0
 
 
 def test_an_oversized_dense_lp_is_refused_before_it_is_built():
