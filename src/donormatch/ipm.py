@@ -1,0 +1,406 @@
+"""Primal-dual interior point for the window-packing relaxations.
+
+Solves
+
+    max c.x   s.t.  P x <= 1,  band rows,  0 <= x <= ub
+
+over the active (edge, step) cells. P holds one row per donor window of
+``width`` steps. The band holds the normalized recipient totals s_v = q_v.x
+with one auxiliary L: gamma s_v <= L <= s_v, two inequality rows per
+recipient, or s_v = L, one equality row with a free dual, at gamma = 1.
+Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Wright,
+Primal-Dual Interior-Point Methods, 1997) takes each step from the normal
+equations M dy = A Theta h + k, M = A Theta A' + W/Y, built by structure and
+never from a dense A:
+
+- P Theta P' is block diagonal by donor, and entry (r1, r2) of a block is
+  the donor's per-step Theta mass summed over the steps both windows share.
+  Width-1 windows share nothing, so there the blocks are diagonal. One
+  batched Cholesky factors the (U, T, T) stack.
+- The band rows go through a dense Schur complement of at most 2V rows.
+
+Near the optimum degenerate LPs make M ill-conditioned. Three measures keep
+the steps accurate: only the windows that no other window contains are
+rows, Theta is capped by a small primal regularization, and each solve
+runs conjugate gradients on M with the factored system as preconditioner.
+
+Every iterate gives a certificate: x clipped into [0, ub], with overfull
+windows and then banded totals above min(s) / gamma scaled back, and the
+bound b.y+ + sum ub max(0, c - A'y+), with y+ the duals clipped at 0 (free
+duals as they are), which no feasible point exceeds. The solve keeps the
+best point and the lowest bound seen and stops when the bound closes on
+the point's objective.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .graph import Scenario
+
+GAP_TOL = 1e-9  # relative gap at which a solve stops
+STALL_GAP_TOL = 1e-7  # relative gap accepted once the gap stops improving
+STALL_ITERS = 3  # iterations without halving the gap that count as a stall
+MAX_ITERS = 100
+_STEP = 0.9995  # fraction of the way to the boundary a step goes
+_REG = 1e-6  # primal regularization, relative to the largest cost
+_CG_ITERS = 30  # conjugate-gradient steps per normal-equation solve, at most
+_CG_TOL = 1e-13  # relative residual at which they stop
+
+
+class IpmError(RuntimeError):
+    """No certified solution: the iteration cap was reached, or the gap stayed open."""
+
+
+@dataclass(frozen=True)
+class IpmResult:
+    """Certified solution: ``x`` per cell is feasible, ``bound`` >= the optimum."""
+
+    x: np.ndarray
+    objective: float
+    bound: float
+    iterations: int
+
+
+def relative_gap(objective: float, bound: float) -> float:
+    return (bound - objective) / (1.0 + abs(objective))
+
+
+def solve_window_lp(
+    s: Scenario,
+    ce: np.ndarray,
+    ct: np.ndarray,
+    cost: np.ndarray,
+    ub: np.ndarray,
+    width: int,
+    band: np.ndarray,
+    gamma: float,
+) -> IpmResult:
+    """Maximize cost.x over the cells (ce, ct), 0 <= x <= ub.
+
+    Each donor takes at most one unit per window of ``width`` steps. The
+    recipients in ``band`` (at least two, or none) keep their totals
+    s_v = sum of cost x over m_v within the gamma band. Raises IpmError
+    past MAX_ITERS iterations.
+    """
+    nb = band.size
+    if nb:
+        pos = np.full(s.n_recipients, -1)
+        pos[band] = np.arange(nb)
+        vb = pos[s.edge_recipient[ce]]
+        m = s.normalization[s.edge_recipient[ce]]
+        q = np.where(vb >= 0, cost / np.where(vb >= 0, m, 1.0), 0.0)
+        v = np.maximum(vb, 0)
+        if (np.bincount(v, q, minlength=nb) == 0.0).any():
+            # A banded total that no cell can raise pins L, and with it
+            # every banded total, at 0: the cells that count are fixed at 0.
+            keep = q == 0.0
+            sub = solve_window_lp(
+                s, ce[keep], ct[keep], cost[keep], ub[keep], width, band[:0], gamma
+            )
+            x = np.zeros(ce.size)
+            x[keep] = sub.x
+            return IpmResult(x, sub.objective, sub.bound, sub.iterations)
+    if ce.size == 0:
+        return IpmResult(np.zeros(0), 0.0, 0.0, 0)
+    lp = _WindowLp(s, ce, ct, cost, ub, width)
+    if nb:
+        lp.add_band(q, v, nb, gamma)
+    return lp.solve()
+
+
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of SPD matrices, from Jacobi-scaled Cholesky factors.
+
+    Late iterations can lose definiteness to rounding; then about 1e-13
+    times the scaled matrix's (unit) largest diagonal is added, growing if
+    needed. Past that, its eigenvalues are floored: the conjugate gradients
+    this inverse preconditions correct what the floor changes.
+    """
+    dg = a.diagonal(axis1=-2, axis2=-1)
+    d = 1.0 / np.sqrt(np.maximum(dg, 1e-16 * dg.max(axis=-1, keepdims=True)))
+    scaled = a * d[..., :, None] * d[..., None, :]
+    eye = np.eye(a.shape[-1])
+    for nudge in (0.0, 1e-13, 1e-11, 1e-9):
+        try:
+            f = np.linalg.inv(np.linalg.cholesky(scaled + nudge * eye))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        lam, vec = np.linalg.eigh(scaled)
+        lam = np.maximum(lam, 1e-9 * lam.max(axis=-1, keepdims=True))
+        f = np.swapaxes(vec / np.sqrt(lam)[..., None, :], -1, -2)
+    f = f * d[..., None, :]
+    return np.swapaxes(f, -1, -2) @ f
+
+
+def _step_to_boundary(vals: np.ndarray, dirs: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps vals + step * dirs >= 0."""
+    neg = dirs < 0.0
+    return float(min(1.0, np.min(-vals[neg] / dirs[neg], initial=np.inf)))
+
+
+class _WindowLp:
+    """One relaxation: its operators A x and A'y, the normal equations, the loop."""
+
+    def __init__(self, s, ce, ct, cost, ub, width):
+        self.U, self.T, self.width = s.n_donors, s.horizon, width
+        self.donor, self.step = s.edge_donor[ce], ct
+        self.cell = self.donor * self.T + ct
+        # Rows are the windows no other window holds, one of each run of
+        # equal windows; the rest are implied, since x >= 0, and the rows of
+        # a donor are then independent. Window t is kept when it holds a
+        # cell, when window t + 1 does not hold it (a cell at t - width + 1
+        # leaves, or t is the last step) and when window t - 1 does not
+        # strictly hold it (a cell enters at t, or none at t - width leaves).
+        busy = self._mass(np.ones(ce.size)) > 0
+        T = self.T
+        leaves_next = np.zeros_like(busy)
+        leaves_next[:, width - 1 :] = busy[:, : max(T - width + 1, 0)]
+        leaves_next[:, T - 1] = True
+        left_prev = np.zeros_like(busy)
+        left_prev[:, width:] = busy[:, : max(T - width, 0)]
+        widest = (
+            leaves_next & (busy | ~left_prev) & (self._sums(busy.astype(float)) > 0)
+        )
+        self.ru, self.rt = np.nonzero(widest)
+        self.nc, self.m0 = ce.size, self.ru.size
+        self.c, self.hi = cost, ub
+        self.b = np.ones(self.m0)
+        self.ineq = np.ones(self.m0, dtype=bool)
+        self.nb = 0
+        if width > 1:
+            self.pairs = widest[:, :, None] & widest[:, None, :]
+            self.lone = (~widest).astype(float)
+
+    def add_band(self, q, v, nb, gamma):
+        """Append L and the band rows: coefficient e_i on s_v and f_i on L."""
+        self.q, self.v, self.nb, self.gamma = q, v, nb, gamma
+        if gamma < 1.0:  # L - s_v <= 0 and gamma s_v - L <= 0
+            self.e, self.f, ineq = np.array([-1.0, gamma]), np.array([1.0, -1.0]), True
+        else:  # s_v - L = 0
+            self.e, self.f, ineq = np.array([1.0]), np.array([-1.0]), False
+        cap = float(np.bincount(v, q * self.hi, minlength=nb).max()) + 1.0
+        self.c = np.append(self.c, 0.0)
+        self.hi = np.append(self.hi, cap)
+        self.b = np.concatenate([self.b, np.zeros(self.e.size * nb)])
+        self.ineq = np.concatenate([self.ineq, np.full(self.e.size * nb, ineq)])
+
+    # -- operators ---------------------------------------------------------
+
+    def _mass(self, xc: np.ndarray) -> np.ndarray:
+        """(U, T) sums of a per-cell array over each donor's cells of a step."""
+        return np.bincount(self.cell, xc, minlength=self.U * self.T).reshape(self.U, self.T)
+
+    def _sums(self, mass: np.ndarray) -> np.ndarray:
+        """Sums over the windows ending at each step, along the last axis.
+
+        Added term by term: late in a solve Theta spans twenty orders of
+        magnitude, and a difference of prefix sums would lose the windows
+        that hold only small terms.
+        """
+        out = mass.copy()
+        for j in range(1, min(self.width, self.T)):
+            out[..., j:] += mass[..., :-j]
+        return out
+
+    def mul(self, x: np.ndarray) -> np.ndarray:
+        rows = self._sums(self._mass(x[: self.nc]))[self.ru, self.rt]
+        if not self.nb:
+            return rows
+        sv = np.bincount(self.v, self.q * x[: self.nc], minlength=self.nb)
+        band = np.outer(self.e, sv) + np.outer(self.f, np.full(self.nb, x[self.nc]))
+        return np.concatenate([rows, band.ravel()])
+
+    def tmul(self, y: np.ndarray) -> np.ndarray:
+        back = np.zeros((self.U, self.T))
+        back[self.ru, self.rt] = y[: self.m0]
+        cells = self._sums(back[:, ::-1])[:, ::-1][self.donor, self.step]
+        if not self.nb:
+            return cells
+        yb = y[self.m0 :].reshape(self.e.size, self.nb)
+        cells = cells + self.q * (self.e @ yb)[self.v]
+        return np.append(cells, self.f @ yb.sum(axis=1))
+
+    # -- normal equations --------------------------------------------------
+
+    def _packing_solver(self, theta: np.ndarray, extra: np.ndarray):
+        """z -> (P Theta P' + diag(extra))^-1 z for z of shape (rows, k)."""
+        mass = self._mass(theta)
+        if self.width == 1:
+            d = mass[self.ru, self.rt] + extra
+            return lambda r: r / d[:, None]
+        # Windows ending at t and t + d share the width - d steps ending at t.
+        blocks = np.zeros((self.U, self.T, self.T))
+        shared = np.zeros_like(mass)
+        steps = np.arange(self.T)
+        for d in range(self.width - 1, -1, -1):
+            j = self.width - d - 1
+            if j < self.T:
+                shared[:, j:] += mass[:, : self.T - j]
+            if d < self.T:
+                blocks[:, steps[: self.T - d], steps[d:]] = shared[:, : self.T - d]
+                blocks[:, steps[d:], steps[: self.T - d]] = shared[:, : self.T - d]
+        blocks *= self.pairs
+        diag = self.lone.copy()  # a step that ends no row gets a 1 to itself
+        diag[self.ru, self.rt] = extra
+        blocks[:, steps, steps] += diag
+        inv = _spd_inverse(blocks)
+
+        def solve(r):
+            full = np.zeros((self.U, self.T, r.shape[1]))
+            full[self.ru, self.rt] = r
+            return (inv @ full)[self.ru, self.rt]
+
+        return solve
+
+    def _direct_solver(self, theta: np.ndarray, wy: np.ndarray):
+        """r -> M^-1 r by block elimination, packing rows first."""
+        nc, m0, nb = self.nc, self.m0, self.nb
+        solve_p = self._packing_solver(theta[:nc], wy[:m0])
+        if not nb:
+            return lambda r: solve_p(r[:, None])[:, 0]
+        # G = P Theta Q': the band mass of each row, (rows, recipients).
+        tq = theta[:nc] * self.q
+        flat = (self.donor * nb + self.v) * self.T + self.step
+        mass = np.bincount(flat, tq, minlength=self.U * nb * self.T)
+        G = self._sums(mass.reshape(self.U, nb, self.T))[self.ru, :, self.rt]
+        Z = solve_p(G)
+        core = np.diag(np.bincount(self.v, tq * self.q, minlength=nb)) - G.T @ Z
+        e, f = self.e, self.f
+        S = np.kron(np.outer(e, e), core) + theta[nc] * np.kron(
+            np.outer(f, f), np.ones((nb, nb))
+        )
+        S[np.diag_indices_from(S)] += wy[m0:]
+        S_inv = _spd_inverse(S)
+
+        def solve(r):
+            zp = solve_p(r[:m0, None])[:, 0]
+            yb = S_inv @ (r[m0:] - np.kron(e, G.T @ zp))
+            return np.concatenate([zp - Z @ (e @ yb.reshape(e.size, nb)), yb])
+
+        return solve
+
+    def normal_solver(self, theta: np.ndarray, wy: np.ndarray):
+        """r -> M^-1 r with M = A Theta A' + diag(wy).
+
+        Conjugate gradients on M, preconditioned by the direct solve: near
+        the optimum cancellation in the band's Schur complement makes the
+        direct solve alone too inexact to step on.
+        """
+        direct = self._direct_solver(theta, wy)
+
+        def solve(r):
+            dy = direct(r)
+            res = r - self.mul(theta * self.tmul(dy)) - wy * dy
+            z = direct(res)
+            p, rz = z, res @ z
+            for _ in range(_CG_ITERS):
+                if rz <= 0.0 or np.abs(res).max() <= _CG_TOL * np.abs(r).max():
+                    break
+                Mp = self.mul(theta * self.tmul(p)) + wy * p
+                alpha = rz / (p @ Mp)
+                dy, res = dy + alpha * p, res - alpha * Mp
+                z = direct(res)
+                rz, rz_old = res @ z, rz
+                p = z + (rz / rz_old) * p
+            return dy
+
+        return solve
+
+    # -- certificate -------------------------------------------------------
+
+    def certificate(self, x: np.ndarray, y: np.ndarray):
+        """(feasible cells, their objective, dual bound)."""
+        xc = np.clip(x[: self.nc], 0.0, self.hi[: self.nc])
+        # Scale each cell by the fullest window that holds it, if over 1.
+        over = np.maximum(self._sums(self._mass(xc)), 1.0)
+        pad = np.concatenate([over, np.ones((self.U, self.width - 1))], axis=1)
+        fullest = np.max([pad[:, j : j + self.T] for j in range(self.width)], axis=0)
+        xc = xc / fullest[self.donor, self.step]
+        if self.nb:
+            # Scale each banded total above min(s) / gamma back down to it.
+            sv = np.bincount(self.v, self.q * xc, minlength=self.nb)
+            top = sv.min() / self.gamma
+            scale = np.where(sv > top, top / np.where(sv > top, sv, 1.0), 1.0)
+            xc = np.where(self.q > 0.0, xc * scale[self.v], xc)
+        yp = np.where(self.ineq, np.maximum(y, 0.0), y)
+        slack = self.c - self.tmul(yp)
+        bound = float(self.b @ yp + self.hi @ np.maximum(slack, 0.0))
+        return xc, float(self.c[: self.nc] @ xc), bound
+
+    # -- Mehrotra predictor-corrector -------------------------------------
+
+    def solve(self) -> IpmResult:
+        ineq = self.ineq
+        n, nin = self.hi.size, int(ineq.sum())
+        reg = _REG * float(np.abs(self.c).max() or 1.0)
+        x = self.hi / 2.0
+        t = self.hi - x
+        z, v = np.ones(n), np.ones(n)
+        w, y = ineq.astype(float), ineq.astype(float)
+        best_x, best_obj, bound, err, stall = None, -np.inf, np.inf, np.inf, 0
+        for it in range(MAX_ITERS + 1):
+            # The best point and the lowest bound need not share an iterate.
+            xc, obj, it_bound = self.certificate(x, y)
+            if obj > best_obj:
+                best_x, best_obj = xc, obj
+            bound = min(bound, it_bound)
+            new_err = relative_gap(best_obj, bound)
+            stall = 0 if new_err < 0.5 * err or err == np.inf else stall + 1
+            err = min(err, new_err)
+            if err <= GAP_TOL or (stall >= STALL_ITERS and err <= STALL_GAP_TOL):
+                return IpmResult(best_x, best_obj, bound, it)
+            if it == MAX_ITERS:
+                break
+
+            rp = self.b - self.mul(x) - w
+            ru = self.hi - x - t
+            rd = self.c - self.tmul(y) - v + z
+            theta = 1.0 / (z / x + v / t + reg)
+            wy = np.zeros_like(w)
+            wy[ineq] = w[ineq] / y[ineq]
+            solve = self.normal_solver(theta, wy)
+
+            def direction(rxz, rtv, rwy):
+                h = rd - (rtv - v * ru) / t + rxz / x
+                k = np.zeros_like(rwy)
+                k[ineq] = rwy[ineq] / y[ineq]
+                dy = solve(self.mul(theta * h) + k - rp)
+                dx = theta * (h - self.tmul(dy))
+                dt = ru - dx
+                dw = np.where(ineq, rp - self.mul(dx), 0.0)
+                dz = (rxz - z * dx) / x
+                dv = (rtv - v * dt) / t
+                ap = _step_to_boundary(
+                    np.concatenate([x, t, w[ineq]]), np.concatenate([dx, dt, dw[ineq]])
+                )
+                ad = _step_to_boundary(
+                    np.concatenate([z, v, y[ineq]]), np.concatenate([dz, dv, dy[ineq]])
+                )
+                return dx, dt, dw, dy, dz, dv, ap, ad
+
+            mu = (x @ z + t @ v + w[ineq] @ y[ineq]) / (2 * n + nin)
+            if not np.isfinite(mu):
+                break
+            dx, dt, dw, dy, dz, dv, ap, ad = direction(-x * z, -t * v, -w * y)
+            mu_aff = (
+                (x + ap * dx) @ (z + ad * dz)
+                + (t + ap * dt) @ (v + ad * dv)
+                + (w + ap * dw)[ineq] @ (y + ad * dy)[ineq]
+            ) / (2 * n + nin)
+            target = (mu_aff / mu) ** 3 * mu
+            dx, dt, dw, dy, dz, dv, ap, ad = direction(
+                target - x * z - dx * dz,
+                target - t * v - dt * dv,
+                np.where(ineq, target - w * y - dw * dy, 0.0),
+            )
+            ap, ad = _STEP * ap, _STEP * ad
+            x, t, w = x + ap * dx, t + ap * dt, w + ap * dw
+            y, z, v = y + ad * dy, z + ad * dz, v + ad * dv
+        raise IpmError(
+            f"no certified solution in {MAX_ITERS} iterations (relative gap {err:.2g})"
+        )

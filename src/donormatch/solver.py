@@ -13,7 +13,11 @@ with m_v = 0 have no place on the Gamma scale), and is dropped when
 fewer than two are scored.
 
 Integral variants run branch and bound seeded with the empty matching,
-which is always feasible. Fractional variants hit the simplex directly.
+which is always feasible. A fractional variant whose dense simplex tableau
+would have more than SIMPLEX_MAX_ENTRIES entries goes to the structured
+interior point in ``ipm.py`` instead, which models the band with a single
+auxiliary L (gamma s_v <= L <= s_v) and returns its solution with a
+certified dual bound; smaller ones keep the dense simplex.
 """
 
 from __future__ import annotations
@@ -36,10 +40,19 @@ RATELIMIT_LP = "ratelimit_lp"
 
 _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
 
-# Largest dense simplex tableau, rows x (columns + rows) floats (64 MB), a
-# solve may build. Bundled fixed-time LPs need at most 1.4M entries and
-# city_small's rate-limited LP 1.2M; the larger cities' rate LPs 41M-54M.
+# Largest dense simplex tableau, rows x (columns + rows) floats, of a
+# relaxation the simplex still solves; larger ones go to the interior point.
+# The enumeration-checkable relaxations stay under 600 entries; the bundled
+# cities' smallest LP, city_small's fixed-time LP at gamma 0, has 35,000.
+SIMPLEX_MAX_ENTRIES = 10_000
+
+# Largest dense tableau (64 MB) an integral solve may build: branch and
+# bound has no other LP solver.
 MAX_TABLEAU_ENTRIES = 8_000_000
+
+# Largest relative gap, (bound - objective) / (1 + |objective|), accepted
+# from the interior point.
+MAX_CERTIFIED_GAP = 1e-7
 
 # Most binaries a banded integral solve may branch over: city_small at
 # gamma 0.5 (318) ran 698 s, then out of nodes; enumeration-checkable
@@ -57,6 +70,10 @@ class LpSolution:
     weight, NaN when the scenario carries no normalization scores and for
     recipients whose score is 0. ``a`` is the induced donor availability
     and is populated only for the rate-limited kinds; elsewhere it is None.
+    ``bound`` is the interior point's certified upper bound on the optimum
+    (NaN when the simplex or branch and bound solved it). ``iterations``
+    counts interior-point iterations, or branch-and-bound nodes for the
+    integral kinds; it is None for a relaxation the simplex solved.
     """
 
     kind: str
@@ -65,6 +82,8 @@ class LpSolution:
     a: Optional[np.ndarray]
     objective: float
     gamma: float
+    bound: float = np.nan
+    iterations: Optional[int] = None
 
 
 def solve_offline_opt(s: Scenario, r: DemandRealization, gamma: float) -> LpSolution:
@@ -187,12 +206,24 @@ def _solve_cells(
     band = _check_inputs(s, gamma)
     nc, nb = ce.size, band.size
     if nc == 0:
-        return _assemble(s, kind, ce, ct, np.zeros(0), cost, 0.0, gamma)
+        return _assemble(s, kind, ce, ct, np.zeros(0), cost, gamma)
 
-    rows, cols = _window_cells(s, ce, ct, s.rate_limit if kind in _RATE_KINDS else 1)
+    width = s.rate_limit if kind in _RATE_KINDS else 1
+    rows, cols = _window_cells(s, ce, ct, width)
     m0 = int(rows[-1]) + 1
     nrow, ncol = (m0 + 2 * nb + 1, nc + 2) if nb else (m0, nc)
-    if nrow * (ncol + nrow) > MAX_TABLEAU_ENTRIES:
+    entries = nrow * (ncol + nrow)
+    if not integral and entries > SIMPLEX_MAX_ENTRIES:
+        # Imported on first use: where no bytecode cache is kept, compiling
+        # it takes about a seventh of the package's import time.
+        from .ipm import IpmError, relative_gap, solve_window_lp
+
+        res = solve_window_lp(s, ce, ct, cost, ub, width, band, gamma)
+        gap = relative_gap(res.objective, res.bound)
+        if gap > MAX_CERTIFIED_GAP:
+            raise IpmError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")
+        return _assemble(s, kind, ce, ct, res.x, cost, gamma, res.bound, res.iterations)
+    if entries > MAX_TABLEAU_ENTRIES:
         raise ValueError(
             f"{kind} has {nrow} rows x {ncol} columns; its dense simplex tableau "
             f"would exceed {MAX_TABLEAU_ENTRIES} entries"
@@ -233,13 +264,11 @@ def _solve_cells(
         )
         if res.status != "optimal":
             raise MilpError("integral solve lost the empty-matching incumbent")
-        xcells = res.x[:nc]
-    else:
-        lp = solve_lp(cfull, A, b, upfull)
-        if lp.status != "optimal":
-            raise SimplexError("relaxation reported infeasible; empty matching exists")
-        xcells = lp.x[:nc]
-    return _assemble(s, kind, ce, ct, xcells, cost, float(cost @ xcells), gamma)
+        return _assemble(s, kind, ce, ct, res.x[:nc], cost, gamma, iterations=res.nodes)
+    lp = solve_lp(cfull, A, b, upfull)
+    if lp.status != "optimal":
+        raise SimplexError("relaxation reported infeasible; empty matching exists")
+    return _assemble(s, kind, ce, ct, lp.x[:nc], cost, gamma)
 
 
 def _assemble(
@@ -249,8 +278,9 @@ def _assemble(
     ct: np.ndarray,
     xcells: np.ndarray,
     cost: np.ndarray,
-    objective: float,
     gamma: float,
+    bound: float = np.nan,
+    iterations: Optional[int] = None,
 ) -> LpSolution:
     x = np.zeros((s.n_edges, s.horizon))
     raw = np.zeros(s.n_recipients)
@@ -264,5 +294,5 @@ def _assemble(
         scored = s.normalization > 0.0
         sv[scored] = raw[scored] / s.normalization[scored]
     a = _induced_availability(s, x) if kind in _RATE_KINDS else None
-    return LpSolution(kind, x, sv, a, float(objective), float(gamma))
-
+    objective = float(cost @ xcells) if ce.size else 0.0
+    return LpSolution(kind, x, sv, a, objective, float(gamma), float(bound), iterations)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import two_recipient_instance
+from donormatch import cli
 from donormatch.cli import main
 from donormatch.graph import (
     Donor,
@@ -232,40 +233,29 @@ def dead(tmp_path):
     return path
 
 
-def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys):
-    # 1,700 one-step donors with two edges each: the fixed-time LP's dense
-    # tableau, 1700 x (3400 + 1700), is over the solver's budget.
-    n = 1_700
-    path = tmp_path / "wide.json"
-    save_scenario(
-        build_scenario(
-            donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(n)],
-            recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.0, 0.1)],
-            edges=[(f"u{i}", v) for i in range(n) for v in ("A", "B")],
-            weights=[1.0] * (2 * n),
-            availability=None,
-            horizon=1,
-            rate_limit=1,
-            normalization={"A": 1.0, "B": 1.0},
-        ),
-        path,
-    )
+def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(s, gamma):
+        raise ValueError("fixedtime_lp refused for the test")
+
+    monkeypatch.setattr(cli, "solve_fixedtime_lp", refuse)
+    path = tmp_path / "two.json"
+    save_scenario(two_recipient_instance(), path)
     argv = ["sweep", str(path), "--gammas", "0,0.5", "--trials", "5"]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith("sweep failed:")]
-    assert len(failed) == 1 and "tableau" in failed[0]
+    assert len(failed) == 1 and "refused for the test" in failed[0]
     assert not any(line.startswith("Traceback") for line in err)
 
 
-def test_run_refuses_an_oversized_rate_lp_in_one_line(tmp_path, capsys):
+def test_run_solves_a_city_rate_lp(tmp_path, capsys):
+    # Riverton's rate-limited LP, which the dense simplex once refused,
+    # solves on the interior point.
     path = tmp_path / "riverton.json"
     save_scenario(generate_city(load_bundled_config("riverton")), path)
     argv = ["run", str(path), "nadaplp_rate:0.5", "--mode", "rate", "--trials", "5"]
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err.splitlines()
-    failed = [line for line in err if line.startswith("run failed:")]
-    assert len(failed) == 1 and "tableau" in failed[0]
     assert not any(line.startswith("Traceback") for line in err)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,6 +26,7 @@ from donormatch.graph import (
     validate_scenario,
     with_normalization,
 )
+from donormatch import solver
 from donormatch.oracle import brute_force_opt
 from donormatch.simulate import draw_realization
 from donormatch.solver import (
@@ -34,6 +38,26 @@ from donormatch.solver import (
 )
 from donormatch.synthgen import generate_city, load_bundled_config
 from donormatch.windows import _window_cells
+
+
+@pytest.fixture
+def interior(monkeypatch):
+    """Send every relaxation, however small, to the interior point."""
+    monkeypatch.setattr(solver, "SIMPLEX_MAX_ENTRIES", 0)
+
+
+def wide_instance(n=1_700):
+    """n one-step donors with an edge each to A and B, both scored."""
+    return build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(n)],
+        recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.0, 0.1)],
+        edges=[(f"u{i}", v) for i in range(n) for v in ("A", "B")],
+        weights=[1.0] * (2 * n),
+        availability=None,
+        horizon=1,
+        rate_limit=1,
+        normalization={"A": 1.0, "B": 1.0},
+    )
 
 
 def waiting_instance(eps=0.01):
@@ -234,7 +258,7 @@ def test_deterministic_lp_bounds_milp(gamma):
         )
 
 
-def test_rate_limit_one_solves_the_fixed_time_lp():
+def _rate_limit_one_matches_fixed_time():
     # With K = 1 and first_notify = 1 every donor is scheduled every day,
     # so both kinds get one packing row per donor and step: the same LP.
     rng = np.random.default_rng(2024)
@@ -252,6 +276,14 @@ def test_rate_limit_one_solves_the_fixed_time_lp():
             fixed = solve_fixedtime_lp(s, gamma)
             assert np.array_equal(rate.x, fixed.x)
             assert rate.objective == fixed.objective
+
+
+def test_rate_limit_one_solves_the_fixed_time_lp():
+    _rate_limit_one_matches_fixed_time()
+
+
+def test_rate_limit_one_solves_the_fixed_time_lp_on_the_interior_point(interior):
+    _rate_limit_one_matches_fixed_time()
 
 
 def test_milp_objective_monotone_in_gamma():
@@ -323,14 +355,22 @@ def test_a_large_banded_integral_solve_is_refused_before_branching():
 
 
 def test_an_oversized_dense_lp_is_refused_before_it_is_built():
-    # Riverton's rate-limited LP would need a 2791 x 16923 tableau (380 MB)
-    # and hours of pivots; city_small's, at 377 x 3199, still solves.
+    # The dense tableau guards the integral kinds only: 1,700 donors make
+    # a 1700 x (3400 + 1700) tableau, over the budget, even at gamma 0.
+    wide = wide_instance()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="1700 rows x 3400 columns"):
+        solve_offline_opt(wide, all_ones_realization(wide), 0.0)
+    assert time.perf_counter() - start < 1.0
+    # Riverton's rate-limited LP, 2791 x 14132 in the dense model (380 MB),
+    # solves on the interior point, as does city_small's.
     s = generate_city(load_bundled_config("riverton"))
     s = with_normalization(s, np.ones(s.n_recipients))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="2791 rows x 14132 columns"):
-        solve_ratelimit_lp(s, 0.5)
+    sol = solve_ratelimit_lp(s, 0.5)
     assert time.perf_counter() - start < 10.0
+    assert sol.objective > 0.0
+    assert (sol.bound - sol.objective) / (1.0 + sol.objective) <= 1e-7
     small = generate_city(load_bundled_config("city_small"))
     assert solve_ratelimit_lp(small, 0.0).objective > 0.0
 
@@ -387,8 +427,14 @@ def test_window_rows_match_a_loop_over_donors_and_steps(width):
         assert np.array_equal(np.unique(rows), np.arange(len(want)))
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
-def test_solution_invariants_on_random_instances(gamma):
+@pytest.mark.parametrize(
+    "gamma, route",
+    [pytest.param(g, "simplex", id=f"{g}") for g in (0.0, 0.4, 1.0)]
+    + [pytest.param(g, "interior", id=f"interior-{g}") for g in (0.0, 0.4, 1.0)],
+)
+def test_solution_invariants_on_random_instances(gamma, route, request):
+    if route == "interior":
+        request.getfixturevalue("interior")
     rng = np.random.default_rng(140 + int(gamma * 10))
     for _ in range(12):
         s = random_instance(rng)
@@ -426,3 +472,161 @@ def test_solution_invariants_on_random_instances(gamma):
             assert sol.objective == pytest.approx(raw.sum(), abs=1e-7)
             if gamma > 0:
                 assert gamma * sol.s.max() <= sol.s.min() + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the interior point
+
+
+_LP_KINDS = {
+    "fixedtime_lp": solve_fixedtime_lp,
+    "nadapopt_lp": solve_nadapopt_lp,
+    "ratelimit_lp": solve_ratelimit_lp,
+}
+
+
+def _lp_cells(s, kind):
+    """Cells, costs and upper bounds of one relaxation, built afresh."""
+    rate = kind == "ratelimit_lp"
+    mask = (s.availability > 0.0)[s.edge_recipient]
+    if not rate:
+        mask &= s.donor_schedule[s.edge_donor] != 0
+    ce, ct = np.nonzero(mask)
+    p = s.availability[s.edge_recipient[ce], ct]
+    cost = s.weights[ce, ct] * (p if kind == "nadapopt_lp" else 1.0)
+    ub = np.ones(ce.size) if kind == "nadapopt_lp" else p
+    return ce, ct, cost, ub
+
+
+def _highs_objective(s, kind, gamma):
+    """Optimum by scipy's HiGHS, from one row per donor and window end."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    ce, ct, cost, ub = _lp_cells(s, kind)
+    nc = ce.size
+    if nc == 0:
+        return 0.0
+    width = s.rate_limit if kind == "ratelimit_lp" else 1
+    rows, cols, vals, rhs = [], [], [], []
+    for u in range(s.n_donors):
+        for t in range(s.horizon):
+            sel = np.flatnonzero((s.edge_donor[ce] == u) & (ct > t - width) & (ct <= t))
+            if sel.size:
+                rows += [len(rhs)] * sel.size
+                cols += sel.tolist()
+                vals += [1.0] * sel.size
+                rhs.append(1.0)
+    m = s.normalization
+    band = np.flatnonzero(m > 0.0) if gamma > 0.0 and m is not None else []
+    if len(band) >= 2:
+        # One auxiliary L (column nc): gamma s_v <= L <= s_v.
+        for v in band:
+            sel = np.flatnonzero(s.edge_recipient[ce] == v)
+            q = cost[sel] / m[v]
+            for sign in (-1.0, gamma):
+                rows += [len(rhs)] * (sel.size + 1)
+                cols += sel.tolist() + [nc]
+                vals += (sign * q).tolist() + [-1.0 if sign > 0 else 1.0]
+                rhs.append(0.0)
+        cost, ub = np.append(cost, 0.0), np.append(ub, np.inf)
+    A = coo_matrix((vals, (rows, cols)), shape=(len(rhs), cost.size))
+    res = linprog(-cost, A_ub=A.tocsr(), b_ub=rhs, bounds=list(zip(np.zeros(cost.size), ub)))
+    assert res.status == 0
+    return -res.fun
+
+
+def _check_certificate(s, sol, kind):
+    """Bound above the objective, gap <= 1e-7, x in [0, ub], rows within 1e-9."""
+    gap = (sol.bound - sol.objective) / (1.0 + abs(sol.objective))
+    assert -1e-12 <= gap <= 1e-7
+    ce, ct, _, ub = _lp_cells(s, kind)
+    upper = np.zeros_like(sol.x)
+    upper[ce, ct] = ub
+    assert (sol.x >= 0.0).all() and (sol.x <= upper).all()
+    mass = _per_donor_step(s, sol)
+    width = s.rate_limit if kind == "ratelimit_lp" else 1
+    for t in range(s.horizon):
+        assert (mass[:, max(0, t - width + 1) : t + 1].sum(axis=1) <= 1.0 + 1e-9).all()
+    if sol.gamma > 0.0 and np.isfinite(sol.s).sum() >= 2:
+        scored = sol.s[np.isfinite(sol.s)]
+        assert sol.gamma * scored.max() <= scored.min() + 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_interior_point_matches_highs_on_random_instances(gamma, interior):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(700 + int(gamma * 10))
+    for _ in range(10):
+        s = random_instance(rng, max_donors=4, max_steps=8, cell_budget=None)
+        # Days without demand leave gaps in the donors' windows.
+        gaps = rng.random(s.availability.shape) < 0.4
+        s = dataclasses.replace(s, availability=np.where(gaps, 0.0, s.availability))
+        for kind, solve in _LP_KINDS.items():
+            sol = solve(s, gamma)
+            want = _highs_objective(s, kind, gamma)
+            assert sol.objective == pytest.approx(want, rel=1e-7, abs=1e-9)
+            if sol.iterations is None:  # no cells, nothing to solve
+                assert sol.objective == 0.0
+                continue
+            _check_certificate(s, sol, kind)
+
+
+def test_interior_point_matches_highs_on_city_small():
+    pytest.importorskip("scipy")
+    s = generate_city(load_bundled_config("city_small"))
+    s = with_normalization(s, np.random.default_rng(3).uniform(0.5, 2.0, s.n_recipients))
+    for gamma in (0.0, 0.5, 1.0):
+        for kind, solve in _LP_KINDS.items():
+            sol = solve(s, gamma)
+            assert sol.iterations > 0  # above the simplex cut-off
+            want = _highs_objective(s, kind, gamma)
+            assert sol.objective == pytest.approx(want, rel=1e-7)
+            _check_certificate(s, sol, kind)
+
+
+def test_interior_point_takes_the_equality_band_and_no_band(interior):
+    # gamma = 1 holds s_A = s_B = L with free duals: the hand solution.
+    s = two_recipient_instance()
+    sol = solve_nadapopt_lp(s, 1.0)
+    assert sol.objective == pytest.approx(0.95, abs=1e-8)
+    assert sol.s == pytest.approx([1.0, 1.0], abs=1e-8)
+    _check_certificate(s, sol, "nadapopt_lp")
+    # One scored recipient is no band: gamma 0.5 solves the gamma 0 LP.
+    zeroed = dataclasses.replace(s, normalization=np.array([0.0, 0.5]))
+    banded, free = solve_nadapopt_lp(zeroed, 0.5), solve_nadapopt_lp(zeroed, 0.0)
+    assert banded.objective == pytest.approx(free.objective, abs=1e-9)
+    assert banded.objective == pytest.approx(1.0, abs=1e-8)
+
+
+def test_the_simplex_leaves_no_certificate():
+    sol = solve_nadapopt_lp(two_recipient_instance(), 1.0)
+    assert np.isnan(sol.bound) and sol.iterations is None
+    r = all_ones_realization(two_recipient_instance())
+    assert solve_offline_opt(two_recipient_instance(), r, 0.0).iterations >= 1
+
+
+def test_interior_point_repeats_bit_for_bit():
+    s = generate_city(load_bundled_config("city_small"))
+    s = with_normalization(s, np.ones(s.n_recipients))
+    for solve in (solve_fixedtime_lp, solve_ratelimit_lp):
+        first, second = solve(s, 0.5), solve(s, 0.5)
+        assert np.array_equal(first.x, second.x) and first.bound == second.bound
+
+
+def test_an_interior_point_solve_loads_no_scipy():
+    # Importing scipy.optimize alone adds about 47 MB of peak memory, which
+    # the solver must not pay: the interior point is numpy only.
+    code = (
+        "import sys, numpy as np, donormatch as dm\n"
+        "s = dm.generate_city(dm.load_bundled_config('city_small'))\n"
+        "s = dm.with_normalization(s, np.ones(s.n_recipients))\n"
+        "assert dm.solve_fixedtime_lp(s, 0.5).iterations > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
