@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
             realization_mode="resampled",
             rng=np.random.default_rng([args.seed, 1]),
         )
-    except ValueError as err:
+    except (ValueError, RuntimeError) as err:
         _info(f"run failed: {err}")
         return 1
 
@@ -288,7 +288,7 @@ def cmd_sweep(args) -> int:
     _name_unscored(scored_recipients(m, m)[1])
     try:
         rows = sweep_rows(s, gammas, args.trials, args.seed)
-    except ValueError as err:
+    except (ValueError, RuntimeError) as err:
         _info(f"sweep failed: {err}")
         return 1
 
@@ -322,6 +322,9 @@ def cmd_oracle(args) -> int:
     except ValueError as err:
         _info(f"input error: {err}")
         return 2
+    except RuntimeError as err:
+        _info(f"oracle failed: {err}")
+        return 1
     gap = abs(enum_obj - milp.objective)
     verdict = "agree" if gap <= ORACLE_TOL else "DISAGREE"
     _info(

@@ -4,8 +4,8 @@ Solves
 
     max c.x   s.t.  P x <= 1,  band rows,  0 <= x <= ub
 
-over the active (edge, step) cells. P holds one row per donor window of
-``width`` steps. The band holds the normalized recipient totals s_v = q_v.x
+over the active (edge, step) cells, as the caller builds it: P holds the
+windows of ``windows._window_rows``, and the band the totals s_v = q_v.x
 with one auxiliary L: gamma s_v <= L <= s_v, two inequality rows per
 recipient, or s_v = L, one equality row with a free dual, at gamma = 1.
 Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Wright,
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Scenario
+from .windows import _window_rows
 
 GAP_TOL = 1e-9  # relative gap at which a solve stops
 STALL_GAP_TOL = 1e-7  # relative gap accepted once the gap stops improving
@@ -75,40 +76,19 @@ def solve_window_lp(
     cost: np.ndarray,
     ub: np.ndarray,
     width: int,
-    band: np.ndarray,
+    q: np.ndarray,
+    v: np.ndarray,
+    nb: int,
     gamma: float,
 ) -> IpmResult:
-    """Maximize cost.x over the cells (ce, ct), 0 <= x <= ub.
+    """Maximize cost.x over the cells (ce, ct) and L, 0 <= x <= ub.
 
-    Each donor takes at most one unit per window of ``width`` steps. The
-    recipients in ``band`` (at least two, or none) keep their totals
-    s_v = sum of cost x over m_v within the gamma band. Raises IpmError
-    past MAX_ITERS iterations.
+    The packing rows are ``windows._window_rows`` of ``width`` steps. With
+    nb > 0, the banded totals s_j = sum of q x over the cells with v = j
+    keep within the gamma band, and ``cost`` and ``ub`` end with L's entry.
+    Raises IpmError past MAX_ITERS iterations.
     """
-    nb = band.size
-    if nb:
-        pos = np.full(s.n_recipients, -1)
-        pos[band] = np.arange(nb)
-        vb = pos[s.edge_recipient[ce]]
-        m = s.normalization[s.edge_recipient[ce]]
-        q = np.where(vb >= 0, cost / np.where(vb >= 0, m, 1.0), 0.0)
-        v = np.maximum(vb, 0)
-        if (np.bincount(v, q, minlength=nb) == 0.0).any():
-            # A banded total that no cell can raise pins L, and with it
-            # every banded total, at 0: the cells that count are fixed at 0.
-            keep = q == 0.0
-            sub = solve_window_lp(
-                s, ce[keep], ct[keep], cost[keep], ub[keep], width, band[:0], gamma
-            )
-            x = np.zeros(ce.size)
-            x[keep] = sub.x
-            return IpmResult(x, sub.objective, sub.bound, sub.iterations)
-    if ce.size == 0:
-        return IpmResult(np.zeros(0), 0.0, 0.0, 0)
-    lp = _WindowLp(s, ce, ct, cost, ub, width)
-    if nb:
-        lp.add_band(q, v, nb, gamma)
-    return lp.solve()
+    return _WindowLp(s, ce, ct, cost, ub, width, q, v, nb, gamma).solve()
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -146,48 +126,27 @@ def _step_to_boundary(vals: np.ndarray, dirs: np.ndarray) -> float:
 class _WindowLp:
     """One relaxation: its operators A x and A'y, the normal equations, the loop."""
 
-    def __init__(self, s, ce, ct, cost, ub, width):
+    def __init__(self, s, ce, ct, cost, ub, width, q, v, nb, gamma):
         self.U, self.T, self.width = s.n_donors, s.horizon, width
         self.donor, self.step = s.edge_donor[ce], ct
         self.cell = self.donor * self.T + ct
-        # Rows are the windows no other window holds, one of each run of
-        # equal windows; the rest are implied, since x >= 0, and the rows of
-        # a donor are then independent. Window t is kept when it holds a
-        # cell, when window t + 1 does not hold it (a cell at t - width + 1
-        # leaves, or t is the last step) and when window t - 1 does not
-        # strictly hold it (a cell enters at t, or none at t - width leaves).
-        busy = self._mass(np.ones(ce.size)) > 0
-        T = self.T
-        leaves_next = np.zeros_like(busy)
-        leaves_next[:, width - 1 :] = busy[:, : max(T - width + 1, 0)]
-        leaves_next[:, T - 1] = True
-        left_prev = np.zeros_like(busy)
-        left_prev[:, width:] = busy[:, : max(T - width, 0)]
-        widest = (
-            leaves_next & (busy | ~left_prev) & (self._sums(busy.astype(float)) > 0)
-        )
-        self.ru, self.rt = np.nonzero(widest)
+        self.ru, self.rt = _window_rows(s, ce, ct, width)
         self.nc, self.m0 = ce.size, self.ru.size
         self.c, self.hi = cost, ub
-        self.b = np.ones(self.m0)
-        self.ineq = np.ones(self.m0, dtype=bool)
-        self.nb = 0
         if width > 1:
+            widest = np.zeros((self.U, self.T), dtype=bool)
+            widest[self.ru, self.rt] = True
             self.pairs = widest[:, :, None] & widest[:, None, :]
             self.lone = (~widest).astype(float)
-
-    def add_band(self, q, v, nb, gamma):
-        """Append L and the band rows: coefficient e_i on s_v and f_i on L."""
+        # The band rows put coefficient e_i on s_v and f_i on L.
         self.q, self.v, self.nb, self.gamma = q, v, nb, gamma
         if gamma < 1.0:  # L - s_v <= 0 and gamma s_v - L <= 0
             self.e, self.f, ineq = np.array([-1.0, gamma]), np.array([1.0, -1.0]), True
         else:  # s_v - L = 0
             self.e, self.f, ineq = np.array([1.0]), np.array([-1.0]), False
-        cap = float(np.bincount(v, q * self.hi, minlength=nb).max()) + 1.0
-        self.c = np.append(self.c, 0.0)
-        self.hi = np.append(self.hi, cap)
-        self.b = np.concatenate([self.b, np.zeros(self.e.size * nb)])
-        self.ineq = np.concatenate([self.ineq, np.full(self.e.size * nb, ineq)])
+        band = self.e.size * nb
+        self.b = np.concatenate([np.ones(self.m0), np.zeros(band)])
+        self.ineq = np.concatenate([np.ones(self.m0, dtype=bool), np.full(band, ineq)])
 
     # -- operators ---------------------------------------------------------
 

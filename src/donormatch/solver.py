@@ -1,22 +1,22 @@
 """Solvers for the offline and fractional matching formulations.
 
-All five entry points share one reduction. Decision variables are the
-active (edge, step) cells. Packing rows cap each donor at one match per
-window of w steps: w = 1 in the fixed-time setting (one match per
-notification day), w = K in the rate-limited setting, where the
+All five entry points build one model, in ``_solve_cells``, for either
+solver. Decision variables are the active (edge, step) cells. Packing
+rows, the windows of ``windows._window_rows``, cap each donor at one
+match per window of w steps: w = 1 in the fixed-time setting (one match
+per notification day), w = K in the rate-limited setting, where the
 availability indicator a_ut has been substituted out. With gamma > 0
-the normalized recipient totals s_v are held in the proportionality
-band: two auxiliary variables bound the smallest and largest s_v, and
-one row keeps the smallest at least gamma times the largest. The band
-holds the recipients with a positive normalization score m_v only (those
-with m_v = 0 have no place on the Gamma scale), and is dropped when
-fewer than two are scored.
+one auxiliary L holds the normalized recipient totals s_v in the
+proportionality band, two rows each: L <= s_v and gamma s_v <= L. The
+band holds the recipients with a positive normalization score m_v only
+(those with m_v = 0 have no place on the Gamma scale), and is dropped
+when fewer than two are scored, or when a banded total cannot be raised:
+that total pins L at 0, so every banded cell is fixed at 0.
 
 Integral variants run branch and bound seeded with the empty matching,
 which is always feasible. A fractional variant whose dense simplex tableau
 would have more than SIMPLEX_MAX_ENTRIES entries goes to the structured
-interior point in ``ipm.py`` instead, which models the band with a single
-auxiliary L (gamma s_v <= L <= s_v) and returns its solution with a
+interior point in ``ipm.py`` instead, which returns its solution with a
 certified dual bound; smaller ones keep the dense simplex.
 """
 
@@ -204,21 +204,37 @@ def _solve_cells(
     integral: bool,
 ) -> LpSolution:
     band = _check_inputs(s, gamma)
-    nc, nb = ce.size, band.size
+    nb, q, v = band.size, None, None
+    if nb:
+        # s_j = q.x over the cells whose recipient is band[j], at v = j; q is 0
+        # off the band, where any v will do.
+        m = s.normalization[s.edge_recipient[ce]]
+        q = np.divide(cost, m, out=np.zeros(ce.size), where=m > 0.0)
+        v = np.minimum(np.searchsorted(band, s.edge_recipient[ce]), nb - 1)
+        if (np.bincount(v, q, minlength=nb) == 0.0).any():
+            # A banded total that no cell can raise pins L, and with it every
+            # banded total, at 0: the cells that count are fixed at 0.
+            keep = q == 0.0
+            ce, ct, cost, ub, nb = ce[keep], ct[keep], cost[keep], ub[keep], 0
+    nc = ce.size
     if nc == 0:
         return _assemble(s, kind, ce, ct, np.zeros(0), cost, gamma)
 
+    cfull, upfull = cost, ub
+    if nb:  # L, the band's one auxiliary, is the last column
+        cap = float(np.bincount(v, q * ub, minlength=nb).max()) + 1.0
+        cfull, upfull = np.append(cost, 0.0), np.append(ub, cap)
     width = s.rate_limit if kind in _RATE_KINDS else 1
     rows, cols = _window_cells(s, ce, ct, width)
     m0 = int(rows[-1]) + 1
-    nrow, ncol = (m0 + 2 * nb + 1, nc + 2) if nb else (m0, nc)
+    nrow, ncol = (m0 + 2 * nb, nc + 1) if nb else (m0, nc)
     entries = nrow * (ncol + nrow)
     if not integral and entries > SIMPLEX_MAX_ENTRIES:
         # Imported on first use: where no bytecode cache is kept, compiling
         # it takes about a seventh of the package's import time.
         from .ipm import IpmError, relative_gap, solve_window_lp
 
-        res = solve_window_lp(s, ce, ct, cost, ub, width, band, gamma)
+        res = solve_window_lp(s, ce, ct, cfull, upfull, width, q, v, nb, gamma)
         gap = relative_gap(res.objective, res.bound)
         if gap > MAX_CERTIFIED_GAP:
             raise IpmError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")
@@ -237,26 +253,12 @@ def _solve_cells(
     A = np.zeros((nrow, ncol))
     A[rows, cols] = 1.0
     b = (np.arange(nrow) < m0).astype(float)
-    cfull, upfull = cost, ub
     if nb:
-        # s_v = q_v . x with q_v the per-cell weight contribution over m_v.
-        m = s.normalization
-        q = np.zeros((s.n_recipients, nc))
-        cr = s.edge_recipient[ce]
-        q[cr, np.arange(nc)] = cost / np.where(m > 0.0, m, np.inf)[cr]
-        q = q[band]
-        # Two auxiliaries sandwich the s_v values; one row ties them by gamma.
-        smin, smax = nc, nc + 1
-        upper = m0 + 2 * np.arange(nb)
-        A[upper, :nc] = q
-        A[upper, smax] = -1.0
-        A[upper + 1, :nc] = -q
-        A[upper + 1, smin] = 1.0
-        A[-1, smin] = -1.0
-        A[-1, smax] = gamma
-        cap = float((q @ ub).max()) + 1.0
-        cfull = np.concatenate([cost, [0.0, 0.0]])
-        upfull = np.concatenate([ub, [cap, cap]])
+        # Band rows L - s_j <= 0 and gamma s_j - L <= 0.
+        cells = np.arange(nc)
+        A[m0 + 2 * v, cells] -= q
+        A[m0 + 2 * v + 1, cells] = gamma * q
+        A[m0::2, nc], A[m0 + 1 :: 2, nc] = 1.0, -1.0
 
     if integral:
         res = solve_milp(

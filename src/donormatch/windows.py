@@ -2,8 +2,9 @@
 
 A donor is matched at most once per window of ``width`` steps, the
 steps [t - width + 1, t]: width 1 in fixed-time mode (one match per
-scheduled day), width K in rate-limited mode. The solver's packing rows,
-the induced donor availability and the blocking estimate in
+scheduled day), width K in rate-limited mode. The packing rows of both
+LP solvers (``_window_rows``: the windows no other window holds), the
+induced donor availability and the blocking estimate in
 ``policies.estimate_beta`` all read their windows from here, as
 differences of one padded cumulative sum over the steps.
 """
@@ -42,29 +43,42 @@ def _induced_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - prior, 0.0, 1.0)
 
 
+def _window_rows(
+    s: Scenario, ce: np.ndarray, ct: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(donor, step) ends of the windows that are packing rows, in that order.
+
+    Rows are the windows no other window holds, one of each run of equal
+    windows; the rest are implied, since x >= 0, and the rows of a donor
+    are then independent. Window t is kept when it holds a cell, when
+    window t + 1 does not hold it (a cell at t - width + 1 leaves, or t is
+    the last step) and when window t - 1 does not strictly hold it (a cell
+    enters at t, or none at t - width leaves).
+    """
+    T = s.horizon
+    busy = np.zeros((s.n_donors, T), dtype=bool)
+    busy[s.edge_donor[ce], ct] = True
+    before = np.pad(busy, ((0, 0), (width, 0)))  # column t holds step t - width
+    leaves_next = before[:, 1 : T + 1] | (np.arange(T) == T - 1)
+    held = _prior_sum(busy, width) + busy > 0
+    return np.nonzero(leaves_next & (busy | ~before[:, :T]) & held)
+
+
 def _window_cells(
     s: Scenario, ce: np.ndarray, ct: np.ndarray, width: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, cell) incidence of the donor windows over the active cells.
+    """(row, cell) incidence of the ``_window_rows`` over the active cells.
 
-    Row (u, t) holds the cells of donor u with step in [t - width + 1, t].
-    Rows come in (donor, step) order; an empty window gives no row, and
-    neither does one identical to the donor's previous window, that is,
-    one that no cell enters or leaves.
+    Row i holds the cells of donor ru[i] with step in [rt[i] - width + 1, rt[i]].
     """
+    ru, rt = _window_rows(s, ce, ct, width)
     per = np.zeros((s.n_donors, s.horizon), dtype=np.int64)
     np.add.at(per, (s.edge_donor[ce], ct), 1)
-    count = _prior_sum(per, width) + per
-    leaving = np.zeros_like(per)
-    leaving[:, width:] = per[:, : max(s.horizon - width, 0)]
-    changed = (per > 0) | (leaving > 0)
-    changed[:, 0] = True
-    ru, rt = np.nonzero((count > 0) & changed)
     # Sorted by (donor, step), the cells of (u, t) start at offset[u * T + t].
     order = np.lexsort((ct, s.edge_donor[ce]))
     offset = np.concatenate([[0], np.cumsum(per.ravel())])
     first = offset[ru * s.horizon + np.maximum(rt - width + 1, 0)]
-    size = count[ru, rt]
+    size = (_prior_sum(per, width) + per)[ru, rt]
     rows = np.repeat(np.arange(ru.size), size)
     within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
     return rows, order[np.repeat(first, size) + within]

@@ -248,6 +248,30 @@ def test_sweep_reports_a_failed_solve_in_one_line(tmp_path, capsys, monkeypatch)
     assert not any(line.startswith("Traceback") for line in err)
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["run", "adaptmatch:0.5"], "donormatch.policies.solve_nadapopt_lp"),
+        (["sweep", "--gammas", "0,0.5"], "donormatch.cli.solve_fixedtime_lp"),
+        (["oracle", "--gamma", "0.5"], "donormatch.cli.solve_offline_opt"),
+    ],
+    ids=["run", "sweep", "oracle"],
+)
+def test_a_solver_failure_ends_in_one_line(command, target, tiny, tmp_path, capsys, monkeypatch):
+    from donormatch.ipm import IpmError
+
+    def fail(*args):
+        raise IpmError("no certified solution for the test")
+
+    monkeypatch.setattr(target, fail)
+    argv = [command[0], str(tiny), *command[1:], "--trials", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith(f"{command[0]} failed:")]
+    assert len(failed) == 1 and "for the test" in failed[0]
+    assert not any(line.startswith("Traceback") for line in err)
+
+
 def test_run_solves_a_city_rate_lp(tmp_path, capsys):
     # Riverton's rate-limited LP, which the dense simplex once refused,
     # solves on the interior point.

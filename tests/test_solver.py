@@ -19,6 +19,8 @@ from conftest import (
     two_recipient_instance,
 )
 from donormatch.graph import (
+    MODE_FIXED,
+    MODE_RATE,
     DemandRealization,
     Donor,
     Recipient,
@@ -354,6 +356,30 @@ def test_a_large_banded_integral_solve_is_refused_before_branching():
         assert solve(s, r, 0.0).objective > 0.0
 
 
+@pytest.mark.parametrize("n", [2, 40])
+def test_a_banded_total_no_cell_can_raise_unbands_the_integral_solves(n):
+    # B is scored but never realized, so s_B = 0 pins every banded total at
+    # 0: A's cells are fixed at 0 and no band is left to branch over, even
+    # with 2n = 80 binaries, past MAX_BANDED_BINARIES.
+    s = build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(n)],
+        recipients=[Recipient(v, 0.0, 0.0) for v in "ABC"],
+        edges=[(f"u{i}", v) for i in range(n) for v in "ABC"],
+        weights=[1.0, 1.0, 0.5] * n,
+        availability=None,
+        horizon=1,
+        rate_limit=1,
+        normalization={"A": 1.0, "B": 1.0, "C": 0.0},
+    )
+    r = DemandRealization(np.array([[1], [0], [1]]))
+    for solve, mode in ((solve_offline_opt, MODE_FIXED), (solve_ratelimit_opt, MODE_RATE)):
+        sol = solve(s, r, 0.5)
+        assert (sol.x[s.edge_recipient != 2] == 0.0).all()
+        assert sol.objective == pytest.approx(0.5 * n)
+        if n == 2:
+            assert sol.objective == pytest.approx(brute_force_opt(s, r, 0.5, mode=mode)[0])
+
+
 def test_an_oversized_dense_lp_is_refused_before_it_is_built():
     # The dense tableau guards the integral kinds only: 1,700 donors make
     # a 1700 x (3400 + 1700) tableau, over the budget, even at gamma 0.
@@ -412,16 +438,18 @@ def test_window_rows_match_a_loop_over_donors_and_steps(width):
         ce, ct = np.nonzero(rng.random((s.n_edges, s.horizon)) < 0.6)
         rows, cols = _window_cells(s, ce, ct, width)
         got = [sorted(cols[rows == i].tolist()) for i in np.unique(rows)]
-        # One row per donor and step, skipping empty windows and repeats
-        # of the donor's last row.
+        # Per donor, the non-empty window cell sets that no other window of
+        # the donor strictly contains, one per run of equal sets.
         want = []
         for u in range(s.n_donors):
+            sets = [
+                set(np.flatnonzero((s.edge_donor[ce] == u) & (ct > tau - width) & (ct <= tau)))
+                for tau in range(s.horizon)
+            ]
             last = None
-            for tau in range(s.horizon):
-                mine = (s.edge_donor[ce] == u) & (ct > tau - width) & (ct <= tau)
-                cells = np.flatnonzero(mine).tolist()
-                if cells and cells != last:
-                    want.append(cells)
+            for cells in sets:
+                if cells and cells != last and not any(cells < other for other in sets):
+                    want.append(sorted(cells))
                     last = cells
         assert got == want
         assert np.array_equal(np.unique(rows), np.arange(len(want)))
@@ -537,9 +565,14 @@ def _highs_objective(s, kind, gamma):
 
 
 def _check_certificate(s, sol, kind):
-    """Bound above the objective, gap <= 1e-7, x in [0, ub], rows within 1e-9."""
+    """Bound above the objective, gap <= 1e-7, and a feasible x."""
     gap = (sol.bound - sol.objective) / (1.0 + abs(sol.objective))
     assert -1e-12 <= gap <= 1e-7
+    _check_feasible(s, sol, kind)
+
+
+def _check_feasible(s, sol, kind):
+    """x in [0, ub], every window within 1e-9, the band within 1e-9."""
     ce, ct, _, ub = _lp_cells(s, kind)
     upper = np.zeros_like(sol.x)
     upper[ce, ct] = ub
@@ -553,9 +586,17 @@ def _check_certificate(s, sol, kind):
         assert sol.gamma * scored.max() <= scored.min() + 1e-9
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-def test_interior_point_matches_highs_on_random_instances(gamma, interior):
+@pytest.mark.parametrize(
+    "gamma, route",
+    [pytest.param(g, "interior", id=f"{g}") for g in (0.0, 0.5, 1.0)]
+    + [pytest.param(g, "simplex", id=f"simplex-{g}") for g in (0.0, 0.5, 1.0)],
+)
+def test_interior_point_matches_highs_on_random_instances(gamma, route, request):
+    # The dense simplex runs on the same rows and band as the interior
+    # point, so both routes answer to the independent HiGHS model.
     pytest.importorskip("scipy")
+    if route == "interior":
+        request.getfixturevalue("interior")
     rng = np.random.default_rng(700 + int(gamma * 10))
     for _ in range(10):
         s = random_instance(rng, max_donors=4, max_steps=8, cell_budget=None)
@@ -566,10 +607,13 @@ def test_interior_point_matches_highs_on_random_instances(gamma, interior):
             sol = solve(s, gamma)
             want = _highs_objective(s, kind, gamma)
             assert sol.objective == pytest.approx(want, rel=1e-7, abs=1e-9)
-            if sol.iterations is None:  # no cells, nothing to solve
+            if route == "simplex":
+                assert np.isnan(sol.bound)  # not sent to the interior point
+                _check_feasible(s, sol, kind)
+            elif sol.iterations is None:  # no cells, nothing to solve
                 assert sol.objective == 0.0
-                continue
-            _check_certificate(s, sol, kind)
+            else:
+                _check_certificate(s, sol, kind)
 
 
 def test_interior_point_matches_highs_on_city_small():
@@ -616,9 +660,16 @@ def test_interior_point_repeats_bit_for_bit():
 
 def test_an_interior_point_solve_loads_no_scipy():
     # Importing scipy.optimize alone adds about 47 MB of peak memory, which
-    # the solver must not pay: the interior point is numpy only.
+    # the solver must not pay: the interior point is numpy only. Nor does a
+    # desk-scale solve, which the simplex takes, load the interior point:
+    # where no bytecode is cached, each imported module is compiled anew.
     code = (
         "import sys, numpy as np, donormatch as dm\n"
+        "d = dm.build_scenario([dm.Donor('u', 0.0, 0.0)], [dm.Recipient('A', 0.0, 0.0),"
+        " dm.Recipient('B', 0.0, 0.1)], [('u', 'A'), ('u', 'B')], [0.9, 1.0], None, 1, 1,"
+        " {'A': 0.45, 'B': 0.5})\n"
+        "assert dm.solve_nadapopt_lp(d, 0.5).iterations is None\n"
+        "print('donormatch.ipm' in sys.modules)\n"
         "s = dm.generate_city(dm.load_bundled_config('city_small'))\n"
         "s = dm.with_normalization(s, np.ones(s.n_recipients))\n"
         "assert dm.solve_fixedtime_lp(s, 0.5).iterations > 0\n"
@@ -629,4 +680,4 @@ def test_an_interior_point_solve_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["False", "[]"]
