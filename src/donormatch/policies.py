@@ -9,9 +9,11 @@ pre-match probabilities, and a plan drawn from them is a (U, T) array
 holding the edge pre-matched for each donor and step, -1 for none. At
 run time the pre-matched edge is used exactly when its recipient shows
 up. AdaptMatch executes a plan but falls back to the myopic mixture when
-the pre-match misses. One array kernel, ``_match_edges``, applies every
-rule to whole batches of trials; the simulator and ``estimate_beta``
-share it.
+the pre-match misses. One rule, ``_decide``, applies every kind to
+gathered cells, and one array kernel, ``_match_edges``, feeds it whole
+batches of trials: the scheduled cells at once in fixed-time mode, and
+step by step only the donors that are free in rate-limited mode. The
+simulator and ``estimate_beta`` share it.
 
 Every function takes the generator or uniforms it should draw from;
 nothing here seeds or splits streams. The simulator owns stream layout so
@@ -45,10 +47,12 @@ _ALPHA_KINDS = ("nadaplp", "nadaplp_rate")
 # Kinds that decide on the spot and so read per-cell decision uniforms.
 DRAW_KINDS = ("rand", "max", "randmax", "adaptmatch")
 
-# Trials the simulator hands _match_edges at once: enough to spread
-# numpy's per-call cost, few enough that the kernel's (trials, cells,
-# degree) work arrays stay a few MB at bundled-city scale.
-TRIAL_CHUNK = 16
+# Donor-step cells, summed over trials, that the simulator hands
+# _match_edges at once; a chunk holds max(1, CHUNK_CELLS // (U * T))
+# trials. Enough cells to spread numpy's per-call cost and the rate-limited
+# walk's per-step calls, few enough that the kernel's (cells, degree) work
+# arrays stay a few MB (48,000 cells x 11 edges x 8 bytes = 4.2 MB).
+CHUNK_CELLS = 16 * 3000
 
 # Fixed-point iterations of estimate_beta.
 BETA_ITERATIONS = 3
@@ -335,53 +339,81 @@ def _match_edges(
     ``available`` holds n trials' recipient realizations as booleans,
     shape (n, V, T). Plan kinds read ``assignment``, the trials' (n, U, T)
     pre-matched edges; DRAW_KINDS read ``uniforms``, shape (n, U, T, 2).
-    Cell (u, t) decides from its own entries alone:
+    A deciding cell (u, t) reads its own entries alone, by the rule in
+    ``_decide``.
 
-    - a plan kind takes the pre-matched edge when its recipient is up;
-    - the myopic rule flips ``uniforms[.., u, t, 0] < coin``, where the
-      coin is 1 for rand, 0 for max and ``gamma`` otherwise. Heads, every available edge is a
-      candidate; tails, the available edges of largest weight. Of the n
-      candidates in edge order it takes number
-      min(floor(uniforms[.., u, t, 1] * n), n - 1);
-    - adaptmatch takes the pre-matched edge when it lands, else the
-      myopic pick.
-
-    Fixed-time mode decides the scheduled cells only. Rate-limited mode
-    walks the steps in order and drops a donor's decisions for the K - 1
-    steps after each of its matches.
+    Fixed-time mode decides the scheduled cells, all at once. Rate-limited
+    mode walks the steps in order and at each step decides only the
+    (trial, donor) pairs that are free; a match blocks the donor for the
+    next K - 1 steps. Either way a trial's result does not depend on the
+    other trials in the batch.
     """
     n, U, T = available.shape[0], s.n_donors, s.horizon
     matched = np.full((n, U, T), -1, dtype=np.int64)
     if s.n_edges == 0:
         return matched
+    coin = {"rand": 1.0, "max": 0.0}.get(kind, gamma)
+    table = s.donor_edge_table
+    edge = np.maximum(table, 0)
+    rec, ok = s.edge_recipient[edge], table >= 0
+    planned = up = draws = open_ = w = None
     if mode == MODE_FIXED:
         cu, ct = np.nonzero(s.donor_schedule)
-    else:
-        cu, ct = np.divmod(np.arange(U * T), T)
-    choice = np.full((n, cu.size), -1, dtype=np.int64)
+        if kind in _PLAN_KINDS:
+            planned = assignment[:, cu, ct]
+            up = available[np.arange(n)[:, None], s.edge_recipient[planned], ct]
+        if kind in DRAW_KINDS:
+            draws = uniforms[:, cu, ct]
+            open_ = available[:, rec[cu], ct[:, None]] & ok[cu]
+            w = s.weights[edge[cu], ct[:, None]]
+        matched[:, cu, ct] = _decide(kind, coin, planned, up, table[cu], open_, w, draws)
+        return matched
+    next_free = np.zeros((n, U), dtype=np.int64)
+    for tau in range(T):
+        i, u = np.nonzero(next_free <= tau)
+        if kind in _PLAN_KINDS:
+            planned = assignment[i, u, tau]
+            up = available[i, s.edge_recipient[planned], tau]
+        if kind in DRAW_KINDS:
+            draws = uniforms[i, u, tau]
+            open_ = available[i[:, None], rec[u], tau] & ok[u]
+            w = s.weights[edge[u], tau]
+        step = _decide(kind, coin, planned, up, table[u], open_, w, draws)
+        matched[i, u, tau] = step
+        hit = step >= 0
+        next_free[i[hit], u[hit]] = tau + s.rate_limit
+    return matched
+
+
+def _decide(kind, coin, planned, up, table, open_, w, draws) -> np.ndarray:
+    """The decision rule on gathered cells: matched edge per cell, -1 for none.
+
+    The cells share a leading shape; ``table`` holds each cell's donor row
+    of ``donor_edge_table`` (cells, D) and may lack the leading trial axis.
+    ``planned`` and ``up`` are a plan kind's pre-matched edge and whether
+    its recipient is up; ``open_`` and ``w`` are, per table entry, whether
+    the edge is real and its recipient up, and its weight at the cell's
+    step; ``draws`` holds the cell's two uniforms.
+
+    - a plan kind takes the pre-matched edge when its recipient is up;
+    - the myopic rule flips ``draws[.., 0] < coin``, where the coin is 1
+      for rand, 0 for max and gamma otherwise. Heads, every open edge is
+      a candidate; tails, the open edges of largest weight. Of the m
+      candidates in edge order it takes number
+      min(floor(draws[.., 1] * m), m - 1);
+    - adaptmatch takes the pre-matched edge when it lands, else the
+      myopic pick.
+    """
+    choice = -1
     if kind in _PLAN_KINDS:
-        planned = assignment[:, cu, ct]
-        up = available[np.arange(n)[:, None], s.edge_recipient[planned], ct]
         choice = np.where((planned >= 0) & up, planned, -1)
     if kind in DRAW_KINDS:
-        coin = {"rand": 1.0, "max": 0.0}.get(kind, gamma)
-        draws = uniforms[:, cu, ct]
-        table = s.donor_edge_table[cu]
-        edge = np.maximum(table, 0)
-        open_ = available[:, s.edge_recipient[edge], ct[:, None]] & (table >= 0)
-        w = np.where(open_, s.weights[edge, ct[:, None]], -np.inf)
+        w = np.where(open_, w, -np.inf)
         heaviest = open_ & (w == w.max(axis=-1, keepdims=True))
         cand = np.where((draws[..., 0] < coin)[..., None], open_, heaviest)
         count = cand.sum(axis=-1)
         k = np.minimum((draws[..., 1] * count).astype(np.int64), count - 1)
         slot = np.argmax(np.cumsum(cand, axis=-1) > k[..., None], axis=-1)
-        pick = np.where(count > 0, table[np.arange(cu.size), slot], -1)
+        pick = np.where(count > 0, table[np.arange(table.shape[0]), slot], -1)
         choice = np.where(choice >= 0, choice, pick)
-    matched[:, cu, ct] = choice
-    if mode == MODE_RATE:
-        next_free = np.zeros((n, U), dtype=np.int64)
-        for tau in range(T):
-            step = matched[:, :, tau]
-            step[tau < next_free] = -1
-            next_free[step >= 0] = tau + s.rate_limit
-    return matched
+    return choice

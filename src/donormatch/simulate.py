@@ -45,8 +45,8 @@ from .graph import (
     outcome_from_matches,
 )
 from .policies import (
+    CHUNK_CELLS,
     DRAW_KINDS,
-    TRIAL_CHUNK,
     PolicySpec,
     _draw_assignment,
     _match_edges,
@@ -228,8 +228,9 @@ def monte_carlo_evaluate(
     match_counts = np.zeros((s.n_edges, s.horizon))
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
-    for lo in range(0, trials, TRIAL_CHUNK):
-        chunk = keys[lo : lo + TRIAL_CHUNK]
+    per_chunk = max(1, CHUNK_CELLS // max(s.n_donors * s.horizon, 1))
+    for lo in range(0, trials, per_chunk):
+        chunk = keys[lo : lo + per_chunk]
         rows = slice(lo, lo + len(chunk))
         if fixed_r is None:
             realizations = [draw_realization(s, _stream(k, _CTR_REALIZATION)) for k in chunk]

@@ -21,7 +21,7 @@ from donormatch.graph import (
     save_scenario,
     validate_scenario,
 )
-from donormatch.policies import PolicySpec
+from donormatch.policies import CHUNK_CELLS, PolicySpec
 from donormatch.simulate import monte_carlo_evaluate
 from donormatch.synthgen import generate_city, load_bundled_config
 
@@ -137,6 +137,18 @@ def test_run_supports_the_rate_protocol(small_city, tmp_path):
     assert main(["run", str(small_city), "nadaplp_rate:gamma=0", "--mode", "rate",
                  "--trials", "3", "--out-dir", str(out)]) == 0
     assert read_csv(out / "aggregate.csv")[0]["mode"] == "rate"
+
+
+@pytest.mark.parametrize("policy", ["rand", "nadaplp_rate:0.5"])
+def test_rate_runs_are_byte_identical_under_the_seed(policy, small_city, tmp_path):
+    # 150 trials of city_small fill more than one chunk of the kernel.
+    s = load_scenario(small_city)
+    assert CHUNK_CELLS // (s.n_donors * s.horizon) < 150
+    for tag in ("a", "b"):
+        assert main(["run", str(small_city), policy, "--mode", "rate", "--trials", "150",
+                     "--seed", "11", "--out-dir", str(tmp_path / tag)]) == 0
+    for name in ("trials.csv", "aggregate.csv"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
 
 
 def test_run_rejects_bad_inputs(tiny, tmp_path):

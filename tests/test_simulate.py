@@ -22,8 +22,10 @@ from donormatch.graph import (
     build_scenario,
     validate_outcome,
 )
+from donormatch import simulate
 from donormatch.policies import (
     PolicySpec,
+    _match_edges,
     default_alpha,
     estimate_beta,
     nadaplp_plan,
@@ -164,6 +166,44 @@ def test_run_policy_matches_the_cell_by_cell_rules():
                     s, spec, r, np.random.default_rng(trial), plan=plan
                 )
                 assert np.array_equal(got.outcome.matched, want), (trial, mode, kind)
+
+
+@pytest.mark.parametrize("K", [1, 2, 9])
+def test_a_rate_batch_matches_the_cell_by_cell_rules_in_every_trial(K):
+    # One kernel call holds 24 different trials, so a (trial, donor) pair
+    # mixed up in the step walk shows. u3 has no edges, v3 is never up,
+    # weights on {0.5, 1} tie often, plans leave about a third of their
+    # cells at -1; K = 9 exceeds the horizon of 6.
+    rng = np.random.default_rng(30 + K)
+    U, V, T, n = 4, 4, 6, 24
+    edges = [(f"u{i}", f"v{j}") for i in range(U - 1) for j in range(V) if (i + j) % V != 3]
+    s = build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(U)],
+        recipients=[Recipient(f"v{j}", 0.0, 0.0) for j in range(V)],
+        edges=edges,
+        weights=rng.integers(1, 3, size=(len(edges), T)) / 2.0,
+        availability=None,
+        horizon=T,
+        rate_limit=K,
+    )
+    assert s.donor_edges[U - 1].size == 0
+    avail = rng.random((n, V, T)) < 0.7
+    avail[:, V - 1] = False
+    uniforms = rng.random((n, U, T, 2))
+    plans = np.full((n, U, T), -1, dtype=np.int64)
+    for u, eu in enumerate(s.donor_edges):
+        if eu.size:
+            pick = rng.choice(eu, size=(n, T))
+            plans[:, u] = np.where(rng.random((n, T)) < 0.65, pick, -1)
+    for kind in ("rand", "max", "randmax", "nadaplp_rate"):
+        spec = PolicySpec(kind, gamma=0.4, mode=MODE_RATE)
+        plan = plans if spec.needs_plan else None
+        got = _match_edges(s, MODE_RATE, kind, spec.gamma, avail, plan, uniforms)
+        for j in range(n):
+            want = reference_matches(
+                s, spec, avail[j], None if plan is None else plan[j], uniforms[j]
+            )
+            assert np.array_equal(got[j], want), (K, kind, j)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +480,36 @@ def test_argument_validation():
         monte_carlo_evaluate(s, PolicySpec("rand"), 0)
     with pytest.raises(ValueError, match="realization_mode"):
         monte_carlo_evaluate(s, PolicySpec("rand"), 1, realization_mode="bogus")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PolicySpec("randmax", gamma=0.5),
+        PolicySpec("nadapopt"),
+        PolicySpec("rand", mode=MODE_RATE),
+        PolicySpec("nadaplp_rate", mode=MODE_RATE),
+    ],
+    ids=lambda spec: f"{spec.mode}-{spec.kind}",
+)
+def test_results_do_not_depend_on_the_chunk_budget(spec, monkeypatch):
+    rng = np.random.default_rng(12)
+    s = random_instance(rng, max_donors=4, max_recipients=4, max_steps=6, cell_budget=None)
+    cells, trials = s.n_donors * s.horizon, 23
+    runs = []
+    # one trial a chunk, three a chunk with a short last one, all at once
+    for budget in (cells, 3 * cells + 1, trials * cells):
+        monkeypatch.setattr(simulate, "CHUNK_CELLS", budget)
+        runs.append(
+            monte_carlo_evaluate(
+                s, spec, trials, realization_mode="resampled",
+                rng=np.random.default_rng(5), keep_trials=True,
+            )
+        )
+    want = runs[-1]
+    for got in runs[:-1]:
+        assert np.array_equal(got.totals, want.totals)
+        assert np.array_equal(got.recipient_totals, want.recipient_totals)
+        assert np.array_equal(got.match_counts, want.match_counts)
+        for a, b in zip(got.trials, want.trials):
+            assert np.array_equal(a.outcome.matched, b.outcome.matched)
