@@ -433,7 +433,20 @@ def outcome_from_matches(s: Scenario, matched: np.ndarray) -> MatchingOutcome:
     """Build a MatchingOutcome from (U, T) matched edge indices, filling in Y_v."""
     matched = np.array(matched, dtype=np.int64)
     y = matched_weights(s, matched)
-    return MatchingOutcome(matched, y, float(sum(y.tolist())))
+    return MatchingOutcome(matched, y, float(weight_total(y)))
+
+
+def weight_total(y: np.ndarray) -> np.ndarray:
+    """Sum of Y_v over the last (recipient) axis, added in recipient order.
+
+    A running sum fixes the order of the additions, so totals do not
+    depend on the numpy or Python version (``np.sum`` adds pairwise, and
+    builtin ``sum`` of floats is compensated from Python 3.12 on).
+    """
+    y = np.asarray(y)
+    if y.shape[-1] == 0:
+        return np.zeros(y.shape[:-1])
+    return np.cumsum(y, axis=-1)[..., -1]
 
 
 def validate_outcome(

@@ -13,9 +13,13 @@ Each trial then owns counter-separated streams derived from its key:
     realization draw   counter [0, 0, 0, 2]
     decisions          counter [0, 0, 0, 3]
 
-Plan kinds compute their pre-match probabilities once per evaluation;
-each trial's plan is drawn from one (U, T) block of its plan stream, a
-chunk of trials at a time.
+The streams stay per trial, but a Monte Carlo evaluation draws them a
+chunk of trials at a time from one Philox re-keyed for each trial
+(``_draws``), which yields exactly the numbers of that trial's own
+``_stream``. A trial's realization is one (V, T) block of its
+realization stream. Plan kinds compute their pre-match probabilities
+once per evaluation; each trial's plan is drawn from one (U, T) block of
+its plan stream.
 
 The decision stream gives each trial one (U, T, 2) block of uniforms,
 drawn only by the kinds that decide on the spot (rand, max, randmax,
@@ -43,6 +47,7 @@ from .graph import (
     Scenario,
     matched_weights,
     outcome_from_matches,
+    weight_total,
 )
 from .policies import (
     CHUNK_CELLS,
@@ -131,23 +136,38 @@ def run_policy(
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
     plans = None if plan is None else np.asarray(plan)[None]
-    matched = _match_trials(s, policy, [r], plans, [rng])
+    uniforms = None
+    if policy.kind in DRAW_KINDS:
+        uniforms = rng.random((s.n_donors, s.horizon, 2))[None]
+    available = (np.asarray(r.available) != 0)[None]
+    matched = _match_edges(s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms)
     return TrialResult(outcome_from_matches(s, matched[0]), seed, policy)
 
 
-def _match_trials(
-    s: Scenario,
-    policy: PolicySpec,
-    realizations: Sequence[DemandRealization],
-    plans: Optional[np.ndarray],
-    streams: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """(n, U, T) matched edge indices of n trials (and plans), one stream each."""
-    uniforms = None
-    if policy.kind in DRAW_KINDS:
-        uniforms = np.stack([g.random((s.n_donors, s.horizon, 2)) for g in streams])
-    available = np.stack([np.asarray(r.available) != 0 for r in realizations])
-    return _match_edges(s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms)
+def _draws(keys: np.ndarray, counter: int, shape: Sequence[int]) -> np.ndarray:
+    """Each key's ``_stream(key, counter).random(shape)``, stacked: (len(keys), *shape).
+
+    One Philox is re-keyed per key instead of one generator built per key.
+    Each re-key also empties the output buffer, so no word drawn under one
+    key is read under the next.
+    """
+    out = np.empty((len(keys), *shape))
+    bits = np.random.Philox(0)
+    g = np.random.Generator(bits)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, 0, counter], dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    inner = state["state"]
+    for key, row in zip(keys.tolist(), out):
+        inner["key"] = key
+        bits.state = state
+        g.random(out=row)
+    return out
 
 
 def estimate_normalization(
@@ -219,32 +239,35 @@ def monte_carlo_evaluate(
             beta = estimate_beta(s, policy.gamma, alpha, BETA_ESTIMATE_TRIALS, rng, lp=lp)
         probs = plan_probabilities(s, policy.kind, lp, alpha, beta)
 
-    fixed_r = None
+    fixed = None
     if realization_mode == "fixed":
-        fixed_r = realization if realization is not None else draw_realization(s, rng)
+        r = realization if realization is not None else draw_realization(s, rng)
+        fixed = np.asarray(r.available) != 0
 
     totals = np.zeros(trials)
     recip = np.zeros((trials, s.n_recipients))
     match_counts = np.zeros((s.n_edges, s.horizon))
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
-    per_chunk = max(1, CHUNK_CELLS // max(s.n_donors * s.horizon, 1))
+    U, V, T = s.n_donors, s.n_recipients, s.horizon
+    per_chunk = max(1, CHUNK_CELLS // max(U * T, 1))
     for lo in range(0, trials, per_chunk):
         chunk = keys[lo : lo + per_chunk]
         rows = slice(lo, lo + len(chunk))
-        if fixed_r is None:
-            realizations = [draw_realization(s, _stream(k, _CTR_REALIZATION)) for k in chunk]
+        if fixed is None:
+            available = _draws(chunk, _CTR_REALIZATION, (V, T)) < s.availability
         else:
-            realizations = [fixed_r] * len(chunk)
-        plans = None
+            available = np.broadcast_to(fixed, (len(chunk), V, T))
+        plans = uniforms = None
         if probs is not None:
-            plan_uniforms = [_stream(k, _CTR_PLAN).random((s.n_donors, s.horizon)) for k in chunk]
-            plans = _draw_assignment(s, probs, np.stack(plan_uniforms))
-        matched = _match_trials(
-            s, policy, realizations, plans, [_stream(k, _CTR_DECIDE) for k in chunk]
+            plans = _draw_assignment(s, probs, _draws(chunk, _CTR_PLAN, (U, T)))
+        if policy.kind in DRAW_KINDS:
+            uniforms = _draws(chunk, _CTR_DECIDE, (U, T, 2))
+        matched = _match_edges(
+            s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms
         )
         recip[rows] = matched_weights(s, matched)
-        totals[rows] = [sum(y) for y in recip[rows].tolist()]
+        totals[rows] = weight_total(recip[rows])
         hit = np.nonzero(matched >= 0)
         np.add.at(match_counts, (matched[hit], hit[2]), 1.0)
         if kept is not None:

@@ -19,6 +19,7 @@ from donormatch.graph import (
     save_scenario,
     validate_outcome,
     validate_scenario,
+    weight_total,
     with_normalization,
 )
 
@@ -245,3 +246,21 @@ def test_with_normalization_replaces():
     assert s.normalization is None
     s2 = with_normalization(s, {"A": 0.45, "B": 0.5})
     assert s2.normalization.tolist() == [0.45, 0.5]
+
+
+def test_weight_total_is_the_left_to_right_fold():
+    # Totals must not depend on how the interpreter or numpy sums floats, so
+    # they are pinned to the plain fold over recipients in order.
+    rng = np.random.default_rng(8)
+    y = rng.random((500, 48)) * 10.0 ** rng.integers(-8, 8, size=(500, 48))
+    want = []
+    for row in y:
+        acc = 0.0
+        for v in row:
+            acc = acc + float(v)
+        want.append(acc)
+    got = weight_total(y)
+    assert got.shape == (500,)
+    assert got.tolist() == want
+    assert float(weight_total(y[0])) == want[0]
+    assert weight_total(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]

@@ -36,6 +36,7 @@ from donormatch.simulate import (
     _CTR_DECIDE,
     _CTR_PLAN,
     _CTR_REALIZATION,
+    _draws,
     _stream,
     _trial_key,
     draw_realization,
@@ -381,6 +382,54 @@ def test_each_trials_plan_is_the_samplers_draw_from_its_plan_stream():
                     policy.kind,
                     j,
                 )
+
+
+@pytest.mark.parametrize("realization_mode", ["resampled", "fixed"])
+@pytest.mark.parametrize(
+    "policy",
+    [PolicySpec(kind, gamma=0.5, mode=mode) if kind == "randmax" else PolicySpec(kind, mode=mode)
+     for mode in (MODE_FIXED, MODE_RATE) for kind in ("rand", "max", "randmax")],
+    ids=lambda p: f"{p.mode}-{p.kind}",
+)
+def test_each_trial_decides_from_its_own_streams(policy, realization_mode, monkeypatch):
+    # The myopic kinds read a realization and a decision stream per trial;
+    # monte_carlo_evaluate draws them a chunk at a time, yet trial j must be
+    # run_policy on its own streams (or on the one fixed realization, drawn
+    # from the master generator right after the keys).
+    rng = np.random.default_rng(31)
+    trials = 2 * 16 + 5  # two full chunks and a partial one
+    for _ in range(3):
+        s = random_instance(rng)
+        monkeypatch.setattr(simulate, "CHUNK_CELLS", 16 * s.n_donors * s.horizon)
+        seed = int(rng.integers(1 << 30))
+        agg = monte_carlo_evaluate(
+            s, policy, trials, realization_mode=realization_mode,
+            rng=np.random.default_rng(seed), keep_trials=True,
+        )
+        master = np.random.default_rng(seed)
+        keys = _trial_key(master, trials)
+        fixed = draw_realization(s, master)
+        for j, key in enumerate(keys):
+            r = fixed
+            if realization_mode == "resampled":
+                r = draw_realization(s, _stream(key, _CTR_REALIZATION))
+            want = run_policy(s, policy, r, _stream(key, _CTR_DECIDE))
+            assert np.array_equal(agg.trials[j].outcome.matched, want.outcome.matched), j
+            assert agg.totals[j] == want.outcome.total_weight
+
+
+@pytest.mark.parametrize("counter", [_CTR_PLAN, _CTR_REALIZATION, _CTR_DECIDE])
+def test_batched_draws_equal_each_keys_own_stream(counter):
+    keys = _trial_key(np.random.default_rng(32), 6)
+    keys = np.concatenate([keys, keys[5:6], keys[:1]])  # a key twice in a row, and once apart
+    # 15 and 7 numbers leave a Philox block part-used between keys
+    for shape in [(3, 5), (7,), (2, 3, 2), (0, 4)]:
+        got = _draws(keys, counter, shape)
+        assert got.shape == (len(keys), *shape)
+        for key, block in zip(keys, got):
+            assert np.array_equal(block, _stream(key, counter).random(shape))
+        one = _draws(keys[4:5], counter, shape)
+        assert np.array_equal(one[0], _stream(keys[4], counter).random(shape))
 
 
 def test_rate_rounding_policy_respects_the_spacing():
