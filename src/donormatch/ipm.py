@@ -18,6 +18,8 @@ never from a dense A:
   Width-1 windows share nothing, so there the blocks are diagonal. One
   batched Cholesky factors the (U, T, T) stack.
 - The band rows go through a dense Schur complement of at most 2V rows.
+  Their coupling to the packing rows, P Theta Q', is summed over the
+  (row, cell) incidence of the windows.
 
 Near the optimum degenerate LPs make M ill-conditioned. Three measures keep
 the steps accurate: only the windows that no other window contains are
@@ -76,6 +78,8 @@ def solve_window_lp(
     cost: np.ndarray,
     ub: np.ndarray,
     width: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
     q: np.ndarray,
     v: np.ndarray,
     nb: int,
@@ -83,12 +87,13 @@ def solve_window_lp(
 ) -> IpmResult:
     """Maximize cost.x over the cells (ce, ct) and L, 0 <= x <= ub.
 
-    The packing rows are ``windows._window_rows`` of ``width`` steps. With
-    nb > 0, the banded totals s_j = sum of q x over the cells with v = j
-    keep within the gamma band, and ``cost`` and ``ub`` end with L's entry.
-    Raises IpmError past MAX_ITERS iterations.
+    The packing rows are ``windows._window_rows`` of ``width`` steps, and
+    (rows, cols) their (row, cell) incidence, ``windows._window_cells``.
+    With nb > 0, the banded totals s_j = sum of q x over the cells with
+    v = j keep within the gamma band, and ``cost`` and ``ub`` end with L's
+    entry. Raises IpmError past MAX_ITERS iterations.
     """
-    return _WindowLp(s, ce, ct, cost, ub, width, q, v, nb, gamma).solve()
+    return _WindowLp(s, ce, ct, cost, ub, width, rows, cols, q, v, nb, gamma).solve()
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -126,13 +131,14 @@ def _step_to_boundary(vals: np.ndarray, dirs: np.ndarray) -> float:
 class _WindowLp:
     """One relaxation: its operators A x and A'y, the normal equations, the loop."""
 
-    def __init__(self, s, ce, ct, cost, ub, width, q, v, nb, gamma):
+    def __init__(self, s, ce, ct, cost, ub, width, rows, cols, q, v, nb, gamma):
         self.U, self.T, self.width = s.n_donors, s.horizon, width
         self.donor, self.step = s.edge_donor[ce], ct
         self.cell = self.donor * self.T + ct
         self.ru, self.rt = _window_rows(s, ce, ct, width)
         self.nc, self.m0 = ce.size, self.ru.size
         self.c, self.hi = cost, ub
+        self.rows, self.cols = rows, cols
         if width > 1:
             widest = np.zeros((self.U, self.T), dtype=bool)
             widest[self.ru, self.rt] = True
@@ -159,8 +165,10 @@ class _WindowLp:
 
         Added term by term: late in a solve Theta spans twenty orders of
         magnitude, and a difference of prefix sums would lose the windows
-        that hold only small terms.
+        that hold only small terms. Width 1 returns ``mass`` itself.
         """
+        if self.width == 1:
+            return mass
         out = mass.copy()
         for j in range(1, min(self.width, self.T)):
             out[..., j:] += mass[..., :-j]
@@ -222,23 +230,23 @@ class _WindowLp:
         solve_p = self._packing_solver(theta[:nc], wy[:m0])
         if not nb:
             return lambda r: solve_p(r[:, None])[:, 0]
-        # G = P Theta Q': the band mass of each row, (rows, recipients).
+        # G = P Theta Q': the band mass of each row, (rows, recipients),
+        # summed over the row's cells.
         tq = theta[:nc] * self.q
-        flat = (self.donor * nb + self.v) * self.T + self.step
-        mass = np.bincount(flat, tq, minlength=self.U * nb * self.T)
-        G = self._sums(mass.reshape(self.U, nb, self.T))[self.ru, :, self.rt]
+        flat = self.rows * nb + self.v[self.cols]
+        G = np.bincount(flat, tq[self.cols], minlength=m0 * nb).reshape(m0, nb)
         Z = solve_p(G)
         core = np.diag(np.bincount(self.v, tq * self.q, minlength=nb)) - G.T @ Z
-        e, f = self.e, self.f
-        S = np.kron(np.outer(e, e), core) + theta[nc] * np.kron(
-            np.outer(f, f), np.ones((nb, nb))
-        )
+        e, f, k = self.e, self.f, self.e.size
+        # Block (i, j) of S is e_i e_j core + theta_L f_i f_j, each (nb, nb).
+        ee, ff = np.outer(e, e)[:, :, None, None], np.outer(f, f)[:, :, None, None]
+        S = (ee * core + theta[nc] * ff).transpose(0, 2, 1, 3).reshape(k * nb, k * nb)
         S[np.diag_indices_from(S)] += wy[m0:]
         S_inv = _spd_inverse(S)
 
         def solve(r):
             zp = solve_p(r[:m0, None])[:, 0]
-            yb = S_inv @ (r[m0:] - np.kron(e, G.T @ zp))
+            yb = S_inv @ (r[m0:] - np.outer(e, G.T @ zp).ravel())
             return np.concatenate([zp - Z @ (e @ yb.reshape(e.size, nb)), yb])
 
         return solve

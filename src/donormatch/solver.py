@@ -1,7 +1,7 @@
 """Solvers for the offline and fractional matching formulations.
 
-All five entry points build one model, in ``_solve_cells``, for either
-solver. Decision variables are the active (edge, step) cells. Packing
+All five entry points build one model, in ``_solve_cells``, for every
+route. Decision variables are the active (edge, step) cells. Packing
 rows, the windows of ``windows._window_rows``, cap each donor at one
 match per window of w steps: w = 1 in the fixed-time setting (one match
 per notification day), w = K in the rate-limited setting, where the
@@ -13,11 +13,22 @@ band holds the recipients with a positive normalization score m_v only
 when fewer than two are scored, or when a banded total cannot be raised:
 that total pins L at 0, so every banded cell is fixed at 0.
 
-Integral variants run branch and bound seeded with the empty matching,
-which is always feasible. A fractional variant whose dense simplex tableau
-would have more than SIMPLEX_MAX_ENTRIES entries goes to the structured
-interior point in ``ipm.py`` instead, which returns its solution with a
-certified dual bound; smaller ones keep the dense simplex.
+Without a band most solves have closed forms:
+
+- Windows one step wide (the fixed-time kinds, and the rate-limited ones
+  at K = 1) leave one unit knapsack per (donor, step), integral or not:
+  its cells fill in decreasing cost up to 1. Each knapsack's dual is the
+  cost at which its capacity runs out, and the bound follows from these
+  duals as for the interior point.
+- The rate-limited integral solve at K > 1 is a per-donor dynamic program
+  over the steps; its bound is the program's optimal value.
+
+What remains, the banded solves and the unbanded rate-limited relaxation
+at K > 1, goes to the dense simplex (branch and bound for the integral
+kinds, seeded with the empty matching, which is always feasible), or, for
+a relaxation whose dense simplex tableau would have more than
+SIMPLEX_MAX_ENTRIES entries, to the structured interior point in
+``ipm.py``, which returns its solution with a certified dual bound.
 """
 
 from __future__ import annotations
@@ -42,13 +53,9 @@ _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
 
 # Largest dense simplex tableau, rows x (columns + rows) floats, of a
 # relaxation the simplex still solves; larger ones go to the interior point.
-# The enumeration-checkable relaxations stay under 600 entries; the bundled
-# cities' smallest LP, city_small's fixed-time LP at gamma 0, has 35,000.
+# The enumeration-checkable relaxations stay under 600 entries; every bundled
+# city's LP has more than 35,000.
 SIMPLEX_MAX_ENTRIES = 10_000
-
-# Largest dense tableau (64 MB) an integral solve may build: branch and
-# bound has no other LP solver.
-MAX_TABLEAU_ENTRIES = 8_000_000
 
 # Largest relative gap, (bound - objective) / (1 + |objective|), accepted
 # from the interior point.
@@ -56,8 +63,8 @@ MAX_CERTIFIED_GAP = 1e-7
 
 # Most binaries a banded integral solve may branch over: city_small at
 # gamma 0.5 (318) ran 698 s, then out of nodes; enumeration-checkable
-# instances have at most 40. Without a band the window rows are step
-# intervals, so the root LP is integral and no limit applies.
+# instances have at most 40. Without a band the integral solves have closed
+# forms, so no limit applies.
 MAX_BANDED_BINARIES = 64
 
 
@@ -70,10 +77,13 @@ class LpSolution:
     weight, NaN when the scenario carries no normalization scores and for
     recipients whose score is 0. ``a`` is the induced donor availability
     and is populated only for the rate-limited kinds; elsewhere it is None.
-    ``bound`` is the interior point's certified upper bound on the optimum
-    (NaN when the simplex or branch and bound solved it). ``iterations``
-    counts interior-point iterations, or branch-and-bound nodes for the
-    integral kinds; it is None for a relaxation the simplex solved.
+    ``bound`` is an upper bound on the optimum: the interior point's
+    certified bound, or on the closed forms the knapsack duals' bound or
+    the dynamic program's optimal value; it is NaN when the simplex or
+    branch and bound solved it. ``iterations`` is 0 for a closed form
+    (a solve without cells included), counts interior-point iterations,
+    or branch-and-bound nodes for the integral kinds; it is None for a
+    relaxation the simplex solved.
     """
 
     kind: str
@@ -218,13 +228,17 @@ def _solve_cells(
             ce, ct, cost, ub, nb = ce[keep], ct[keep], cost[keep], ub[keep], 0
     nc = ce.size
     if nc == 0:
-        return _assemble(s, kind, ce, ct, np.zeros(0), cost, gamma)
+        return _assemble(s, kind, ce, ct, np.zeros(0), cost, gamma, 0.0, 0)
+    width = s.rate_limit if kind in _RATE_KINDS else 1
+    if not nb and (width == 1 or integral):
+        closed_form = _unit_knapsacks if width == 1 else _spaced_best
+        xc, bound = closed_form(s, ce, ct, cost, ub)
+        return _assemble(s, kind, ce, ct, xc, cost, gamma, bound, 0)
 
     cfull, upfull = cost, ub
     if nb:  # L, the band's one auxiliary, is the last column
         cap = float(np.bincount(v, q * ub, minlength=nb).max()) + 1.0
         cfull, upfull = np.append(cost, 0.0), np.append(ub, cap)
-    width = s.rate_limit if kind in _RATE_KINDS else 1
     rows, cols = _window_cells(s, ce, ct, width)
     m0 = int(rows[-1]) + 1
     nrow, ncol = (m0 + 2 * nb, nc + 1) if nb else (m0, nc)
@@ -234,17 +248,12 @@ def _solve_cells(
         # it takes about a seventh of the package's import time.
         from .ipm import IpmError, relative_gap, solve_window_lp
 
-        res = solve_window_lp(s, ce, ct, cfull, upfull, width, q, v, nb, gamma)
+        res = solve_window_lp(s, ce, ct, cfull, upfull, width, rows, cols, q, v, nb, gamma)
         gap = relative_gap(res.objective, res.bound)
         if gap > MAX_CERTIFIED_GAP:
             raise IpmError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")
         return _assemble(s, kind, ce, ct, res.x, cost, gamma, res.bound, res.iterations)
-    if entries > MAX_TABLEAU_ENTRIES:
-        raise ValueError(
-            f"{kind} has {nrow} rows x {ncol} columns; its dense simplex tableau "
-            f"would exceed {MAX_TABLEAU_ENTRIES} entries"
-        )
-    if integral and nb and nc > MAX_BANDED_BINARIES:
+    if integral and nc > MAX_BANDED_BINARIES:
         raise ValueError(
             f"{kind} at gamma {gamma:g} has {nc} binaries; branch and bound under "
             f"the proportionality band is limited to {MAX_BANDED_BINARIES}"
@@ -271,6 +280,65 @@ def _solve_cells(
     if lp.status != "optimal":
         raise SimplexError("relaxation reported infeasible; empty matching exists")
     return _assemble(s, kind, ce, ct, lp.x[:nc], cost, gamma)
+
+
+def _unit_knapsacks(
+    s: Scenario, ce: np.ndarray, ct: np.ndarray, cost: np.ndarray, ub: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Optimum of the one-step windows, sum x <= 1 per (donor, step): (x, bound).
+
+    Each (donor, step) fills its cells in decreasing cost, ties in cell
+    order, up to 1; cells of cost 0 stay at 0. Its dual y is the cost of
+    the cell where the capacity runs out, or 0 if it never does, and the
+    bound is sum y + sum ub max(0, c - y).
+    """
+    group = s.edge_donor[ce] * s.horizon + ct
+    order = np.lexsort((-cost, group))
+    cs, us = cost[order], np.where(cost[order] > 0.0, ub[order], 0.0)
+    starts = np.r_[True, group[order][1:] != group[order][:-1]]
+    run = np.cumsum(starts) - 1
+    rank = np.arange(ce.size) - np.flatnonzero(starts)[run]
+    # One row per (donor, step), its cells heaviest first.
+    c, room = np.zeros((2, run[-1] + 1, rank.max() + 1))
+    c[run, rank], room[run, rank] = cs, us
+    filled = np.cumsum(room, axis=1)
+    before = np.pad(filled[:, :-1], ((0, 0), (1, 0)))
+    y = np.where(filled >= 1.0, c, 0.0).max(axis=1)
+    xc = np.empty(ce.size)
+    xc[order] = np.minimum(room, np.maximum(1.0 - before, 0.0))[run, rank]
+    return xc, float(y.sum() + us @ np.maximum(cs - y[run], 0.0))
+
+
+def _spaced_best(
+    s: Scenario, ce: np.ndarray, ct: np.ndarray, cost: np.ndarray, ub: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Integral optimum with matches of a donor K or more steps apart: (x, bound).
+
+    Every ub is 1. A donor matched at step t takes its heaviest cell there,
+    the one the unit knapsack of (donor, step) fills. Per donor, best[t] =
+    max(best[t-1], w[t] + best[t-K]) over those cells' weights w, for all
+    donors at once; the bound is the sum of the donors' best[T-1], and x
+    is read back from the last step.
+    """
+    U, T, K = s.n_donors, s.horizon, s.rate_limit
+    heads = np.flatnonzero(_unit_knapsacks(s, ce, ct, cost, ub)[0])
+    w = np.zeros((U, T))
+    pick = np.zeros((U, T), dtype=np.int64)
+    at = s.edge_donor[ce[heads]], ct[heads]
+    w[at], pick[at] = cost[heads], heads
+    best = np.zeros((U, K + T))  # best[:, K + t]; the first K columns are 0
+    take = np.zeros((U, T), dtype=bool)
+    for t in range(T):
+        with_t = w[:, t] + best[:, t]
+        take[:, t] = with_t > best[:, K + t - 1]
+        best[:, K + t] = np.where(take[:, t], with_t, best[:, K + t - 1])
+    xc = np.zeros(ce.size)
+    next_t = np.full(U, T - 1)
+    for t in range(T - 1, -1, -1):
+        here = next_t == t
+        xc[pick[here & take[:, t], t]] = 1.0
+        next_t[here] = np.where(take[here, t], t - K, t - 1)
+    return xc, float(best[:, -1].sum())
 
 
 def _assemble(

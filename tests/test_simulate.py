@@ -21,6 +21,7 @@ from donormatch.graph import (
     Recipient,
     build_scenario,
     validate_outcome,
+    with_normalization,
 )
 from donormatch import simulate
 from donormatch.policies import (
@@ -49,6 +50,8 @@ from donormatch.solver import (
     solve_nadapopt_lp,
     solve_ratelimit_lp,
 )
+from donormatch.synthgen import generate_city, load_bundled_config
+from donormatch.windows import _prior_sum
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +385,53 @@ def test_each_trials_plan_is_the_samplers_draw_from_its_plan_stream():
                     policy.kind,
                     j,
                 )
+
+
+def test_rate_trials_match_run_policy_where_free_donors_go_unmatched(monkeypatch):
+    # With no static recipient and one to three edges a donor, a free donor
+    # can find all its edges closed: it goes unmatched and stays free, and
+    # which donors are blocked differs between trials, paths the bundled
+    # rate cities never take. Each trial of the batched kernel must still
+    # be run_policy on its own streams.
+    cfg = dataclasses.replace(
+        load_bundled_config("city_small"), static_fraction=0.0, edge_radius_km=6.0
+    )
+    s = generate_city(cfg)
+    s = with_normalization(s, np.ones(s.n_recipients))
+    K = s.rate_limit
+    monkeypatch.setattr(simulate, "CHUNK_CELLS", 16 * s.n_donors * s.horizon)
+    rng = np.random.default_rng(33)
+    lp = solve_ratelimit_lp(s, 0.5)
+    alpha = default_alpha(s, MODE_RATE)
+    beta = estimate_beta(s, 0.5, alpha, 50, rng, lp=lp)
+    trials = 2 * 16 + 5
+    for policy in (
+        PolicySpec("rand", mode=MODE_RATE),
+        PolicySpec("max", mode=MODE_RATE),
+        PolicySpec("randmax", gamma=0.5, mode=MODE_RATE),
+        PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE),
+    ):
+        seed = int(rng.integers(1 << 30))
+        agg = monte_carlo_evaluate(
+            s, policy, trials, realization_mode="resampled",
+            rng=np.random.default_rng(seed), lp=lp, beta=beta, keep_trials=True,
+        )
+        keys = _trial_key(np.random.default_rng(seed), trials)
+        unmatched_free, blocking = 0, set()
+        for j, key in enumerate(keys):
+            r = draw_realization(s, _stream(key, _CTR_REALIZATION))
+            plan = None
+            if policy.needs_plan:
+                plan = nadaplp_rate_plan(s, 0.5, alpha, beta, _stream(key, _CTR_PLAN), lp=lp)
+            want = run_policy(s, policy, r, _stream(key, _CTR_DECIDE), plan=plan)
+            got = agg.trials[j].outcome
+            assert np.array_equal(got.matched, want.outcome.matched), (policy.kind, j)
+            assert agg.totals[j] == want.outcome.total_weight
+            assert validate_outcome(s, got, r, MODE_RATE) == []
+            blocked = _prior_sum((got.matched >= 0).astype(float), K) > 0
+            unmatched_free += int((~blocked & (got.matched < 0)).sum())
+            blocking.add(blocked.tobytes())
+        assert unmatched_free > 0 and len(blocking) > 1, policy.kind
 
 
 @pytest.mark.parametrize("realization_mode", ["resampled", "fixed"])

@@ -25,12 +25,17 @@ from donormatch.graph import (
     Donor,
     Recipient,
     build_scenario,
+    outcome_from_matches,
+    validate_outcome,
     validate_scenario,
     with_normalization,
 )
 from donormatch import solver
+from donormatch.milp import solve_milp
 from donormatch.oracle import brute_force_opt
-from donormatch.simulate import draw_realization
+from donormatch.policies import PolicySpec
+from donormatch.simplex import solve_lp
+from donormatch.simulate import draw_realization, run_policy
 from donormatch.solver import (
     solve_fixedtime_lp,
     solve_nadapopt_lp,
@@ -380,14 +385,14 @@ def test_a_banded_total_no_cell_can_raise_unbands_the_integral_solves(n):
             assert sol.objective == pytest.approx(brute_force_opt(s, r, 0.5, mode=mode)[0])
 
 
-def test_an_oversized_dense_lp_is_refused_before_it_is_built():
-    # The dense tableau guards the integral kinds only: 1,700 donors make
-    # a 1700 x (3400 + 1700) tableau, over the budget, even at gamma 0.
+def test_a_wide_unbanded_integral_solve_has_a_closed_form():
+    # 1,700 donors would make a 1700 x (3400 + 1700) dense tableau for
+    # branch and bound; at gamma 0 each donor takes its heaviest edge.
     wide = wide_instance()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="1700 rows x 3400 columns"):
-        solve_offline_opt(wide, all_ones_realization(wide), 0.0)
+    sol = solve_offline_opt(wide, all_ones_realization(wide), 0.0)
     assert time.perf_counter() - start < 1.0
+    assert sol.objective == 1700.0 and sol.iterations == 0
     # Riverton's rate-limited LP, 2791 x 14132 in the dense model (380 MB),
     # solves on the interior point, as does city_small's.
     s = generate_city(load_bundled_config("riverton"))
@@ -607,12 +612,10 @@ def test_interior_point_matches_highs_on_random_instances(gamma, route, request)
             sol = solve(s, gamma)
             want = _highs_objective(s, kind, gamma)
             assert sol.objective == pytest.approx(want, rel=1e-7, abs=1e-9)
-            if route == "simplex":
-                assert np.isnan(sol.bound)  # not sent to the interior point
+            if sol.iterations is None:  # the dense simplex leaves no bound
+                assert route == "simplex" and np.isnan(sol.bound)
                 _check_feasible(s, sol, kind)
-            elif sol.iterations is None:  # no cells, nothing to solve
-                assert sol.objective == 0.0
-            else:
+            else:  # a closed form, at 0 iterations, or the interior point
                 _check_certificate(s, sol, kind)
 
 
@@ -623,7 +626,10 @@ def test_interior_point_matches_highs_on_city_small():
     for gamma in (0.0, 0.5, 1.0):
         for kind, solve in _LP_KINDS.items():
             sol = solve(s, gamma)
-            assert sol.iterations > 0  # above the simplex cut-off
+            # Unbanded one-step windows have a closed form; the rest are
+            # above the simplex cut-off.
+            closed = gamma == 0.0 and kind != "ratelimit_lp"
+            assert sol.iterations == 0 if closed else sol.iterations > 0
             want = _highs_objective(s, kind, gamma)
             assert sol.objective == pytest.approx(want, rel=1e-7)
             _check_certificate(s, sol, kind)
@@ -647,7 +653,158 @@ def test_the_simplex_leaves_no_certificate():
     sol = solve_nadapopt_lp(two_recipient_instance(), 1.0)
     assert np.isnan(sol.bound) and sol.iterations is None
     r = all_ones_realization(two_recipient_instance())
-    assert solve_offline_opt(two_recipient_instance(), r, 0.0).iterations >= 1
+    assert solve_offline_opt(two_recipient_instance(), r, 0.5).iterations >= 1
+
+
+# ---------------------------------------------------------------------------
+# the closed forms
+
+
+def closed_form_instance(rng, rate_limit, one_scored):
+    """At most 8 donor-steps, weights in {0, 0.25, 0.5, 1}, availability in {0, 0.3, 0.6}.
+
+    Coarse weights give ties and zero cells, and a dynamic recipient open
+    with p <= 0.6 leaves a (donor, step) with one open edge below 1 in
+    total. With ``one_scored`` only the first recipient has a score, so a
+    gamma > 0 solve drops its band.
+    """
+    while True:
+        U, T = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        if U * T <= 8:
+            break
+    V = int(rng.integers(1, 4))
+    edges = [(f"u{i}", f"v{j}") for i in range(U) for j in range(V) if rng.random() < 0.7]
+    edges = edges or [("u0", "v0")]
+    dynamic = rng.random(V) < 0.5
+    return build_scenario(
+        donors=[
+            Donor(f"u{i}", 0.0, 0.0, first_notify=int(rng.integers(1, rate_limit + 1)))
+            for i in range(U)
+        ],
+        recipients=[
+            Recipient(f"v{j}", 0.0, 0.0, kind="dynamic" if dynamic[j] else "static")
+            for j in range(V)
+        ],
+        edges=edges,
+        weights=[rng.choice([0.0, 0.25, 0.5, 1.0], size=T) for _ in edges],
+        availability={
+            f"v{j}": rng.choice([0.0, 0.3, 0.6], size=T) for j in range(V) if dynamic[j]
+        },
+        horizon=T,
+        rate_limit=rate_limit,
+        normalization={
+            f"v{j}": 0.0 if one_scored and j else float(rng.uniform(0.2, 1.5))
+            for j in range(V)
+        },
+    )
+
+
+def _dense_optimum(s, ce, ct, cost, ub, width, integral):
+    """The same packing model, solved by the dense simplex or branch and bound."""
+    if ce.size == 0:
+        return 0.0
+    rows, cols = _window_cells(s, ce, ct, width)
+    A = np.zeros((rows[-1] + 1, ce.size))
+    A[rows, cols] = 1.0
+    b = np.ones(A.shape[0])
+    if integral:
+        return solve_milp(cost, A, b, ub, np.arange(ce.size), np.zeros(ce.size)).objective
+    return solve_lp(cost, A, b, ub).objective
+
+
+def _matched(s, sol):
+    """(U, T) matched edge indices of an integral solution."""
+    matched = np.full((s.n_donors, s.horizon), -1)
+    e, t = np.nonzero(sol.x)
+    matched[s.edge_donor[e], t] = e
+    return matched
+
+
+@pytest.mark.parametrize("rate_limit", [1, 2, 3, 9])
+def test_closed_forms_match_highs_the_simplex_and_enumeration(rate_limit):
+    # Unbanded solves with one-step windows are unit knapsacks, and the
+    # rate-limited integral solve at K > 1 is the per-donor program; K = 9
+    # is past every horizon here. Each answer carries a bound within
+    # MAX_CERTIFIED_GAP of its objective.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(500 + rate_limit)
+    for i in range(30):
+        one_scored = i % 3 == 2
+        s = closed_form_instance(rng, rate_limit, one_scored)
+        gamma = 0.5 if one_scored else 0.0
+        for kind, solve in _LP_KINDS.items():
+            if kind == "ratelimit_lp" and rate_limit > 1:
+                continue  # windows of K steps: the simplex or the interior point
+            sol = solve(s, gamma)
+            assert sol.iterations == 0
+            _check_certificate(s, sol, kind)
+            assert sol.bound >= sol.objective - 1e-12
+            assert sol.objective == pytest.approx(_highs_objective(s, kind, gamma), abs=1e-9)
+            width = rate_limit if kind == "ratelimit_lp" else 1
+            dense = _dense_optimum(s, *_lp_cells(s, kind), width, False)
+            assert sol.objective == pytest.approx(dense, abs=1e-9)
+        r = random_realization(s, rng)
+        for solve, mode in ((solve_offline_opt, MODE_FIXED), (solve_ratelimit_opt, MODE_RATE)):
+            sol = solve(s, r, gamma)
+            assert sol.iterations == 0 and np.isin(sol.x, (0.0, 1.0)).all()
+            gap = (sol.bound - sol.objective) / (1.0 + sol.objective)
+            assert -1e-12 <= gap <= solver.MAX_CERTIFIED_GAP
+            outcome = outcome_from_matches(s, _matched(s, sol))
+            assert validate_outcome(s, outcome, r, mode) == []
+            assert outcome.total_weight == pytest.approx(sol.objective, abs=1e-12)
+            want, _ = brute_force_opt(s, r, gamma, mode=mode)
+            assert sol.objective == pytest.approx(want, abs=1e-12)
+            ce, ct = np.nonzero((r.available != 0)[s.edge_recipient])
+            if mode == MODE_FIXED:
+                keep = s.donor_schedule[s.edge_donor[ce], ct] != 0
+                ce, ct = ce[keep], ct[keep]
+            width = rate_limit if mode == MODE_RATE else 1
+            dense = _dense_optimum(s, ce, ct, s.weights[ce, ct], np.ones(ce.size), width, True)
+            assert sol.objective == pytest.approx(dense, abs=1e-9)
+
+
+def test_the_knapsacks_fill_heaviest_first_and_leave_zero_cells_empty():
+    # u's step holds A (0.5, p = 0.6), B (0.5, p = 0.3), C (1.0, p = 0.3)
+    # and D (0, p = 1): C fills 0.3, then the tied A and B in edge order,
+    # A to 0.6 and B to the remaining 0.1; the capacity runs out at cost
+    # 0.5. w's one cell, p = 0.6 < 1, leaves its knapsack a dual of 0.
+    s = build_scenario(
+        donors=[Donor("u", 0.0, 0.0), Donor("w", 0.0, 0.0)],
+        recipients=[
+            Recipient("A", 0.0, 0.0, kind="dynamic"),
+            Recipient("B", 0.0, 0.0, kind="dynamic"),
+            Recipient("C", 0.0, 0.0, kind="dynamic"),
+            Recipient("D", 0.0, 0.0),
+        ],
+        edges=[("u", "A"), ("u", "B"), ("u", "C"), ("u", "D"), ("w", "A")],
+        weights=[0.5, 0.5, 1.0, 0.0, 0.25],
+        availability={"A": 0.6, "B": 0.3, "C": 0.3},
+        horizon=1,
+        rate_limit=1,
+    )
+    sol = solve_fixedtime_lp(s, 0.0)
+    assert sol.x[:, 0] == pytest.approx([0.6, 0.1, 0.3, 0.0, 0.6], abs=1e-15)
+    assert sol.objective == pytest.approx(0.3 + 0.35 + 0.15, abs=1e-15)
+    # Duals 0.5 and 0: 0.5 + 0.3 (1.0 - 0.5) + 0.6 * 0.25.
+    assert sol.bound == pytest.approx(0.5 + 0.15 + 0.15, abs=1e-15)
+
+
+def test_the_rate_limited_optimum_solves_at_city_scale():
+    # Branch and bound refused riverton at gamma 0: its dense tableau would
+    # be 2160 x 10611. The per-donor program answers it, at least as well
+    # as Max does on the same realization.
+    s = generate_city(load_bundled_config("riverton"))
+    r = draw_realization(s, np.random.default_rng([0, 11]))
+    start = time.perf_counter()
+    sol = solve_ratelimit_opt(s, r, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert sol.iterations == 0 and np.isin(sol.x, (0.0, 1.0)).all()
+    assert (sol.bound - sol.objective) / (1.0 + sol.objective) <= solver.MAX_CERTIFIED_GAP
+    outcome = outcome_from_matches(s, _matched(s, sol))
+    assert validate_outcome(s, outcome, r, MODE_RATE) == []
+    assert outcome.total_weight == pytest.approx(sol.objective, rel=1e-12)
+    greedy = run_policy(s, PolicySpec("max", mode=MODE_RATE), r, np.random.default_rng(0))
+    assert greedy.outcome.total_weight <= sol.objective + 1e-9
 
 
 def test_interior_point_repeats_bit_for_bit():
