@@ -62,12 +62,8 @@ from .solver import (
 )
 from .synthgen import (
     GeneratorConfig,
-    UniformDisc,
-    availability_profile,
     bundled_city_names,
-    edge_weight,
     generate_city,
-    haversine_km,
     load_bundled_config,
     load_config,
 )
@@ -87,8 +83,6 @@ __all__ = [
     "Recipient",
     "Scenario",
     "TrialResult",
-    "UniformDisc",
-    "availability_profile",
     "brute_force_opt",
     "brute_force_policy_expectation",
     "build_scenario",
@@ -96,7 +90,6 @@ __all__ = [
     "competitive_fraction",
     "default_alpha",
     "draw_realization",
-    "edge_weight",
     "empirical_ep",
     "estimate_beta",
     "estimate_normalization",
@@ -104,7 +97,6 @@ __all__ = [
     "find_proportional_allocation",
     "gamma_of",
     "generate_city",
-    "haversine_km",
     "load_bundled_config",
     "load_config",
     "load_scenario",

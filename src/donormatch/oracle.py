@@ -21,7 +21,7 @@ from .graph import (
     Edge,
     Scenario,
 )
-from .policies import PolicySpec, _over_availability, default_alpha
+from .policies import VALIDITY_TOL, PolicySpec, _over_availability, default_alpha
 from .solver import (
     _check_inputs,
     solve_fixedtime_lp,
@@ -337,17 +337,22 @@ def _add_rate_walk_expectation(s, policy, avail, ey, ui, plan, pi):
 def _plan_distribution(
     s: Scenario, policy: PolicySpec, beta: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Per-cell pre-match probabilities, mirroring the plan samplers."""
+    """Per-cell pre-match probabilities, mirroring the plan samplers.
+
+    Raises ValueError when a (donor, step) distribution's mass exceeds one
+    by more than VALIDITY_TOL: no plan can be drawn from it, and the walk
+    over remaining-block states would take a negative stay-free chance.
+    """
     alpha = policy.alpha
     if alpha is None:
         alpha = default_alpha(s, policy.mode)
     if policy.kind == "nadaplp":
         lp = solve_fixedtime_lp(s, policy.gamma)
-        return _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-    if policy.kind in ("nadapopt", "adaptmatch"):
+        pi = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
+    elif policy.kind in ("nadapopt", "adaptmatch"):
         lp = solve_nadapopt_lp(s, policy.gamma)
-        return np.clip(lp.x, 0.0, None)
-    if policy.kind == "nadaplp_rate":
+        pi = np.clip(lp.x, 0.0, None)
+    elif policy.kind == "nadaplp_rate":
         if beta is None:
             raise ValueError(
                 "the rate-limited rounding kind needs the beta estimate in "
@@ -355,5 +360,15 @@ def _plan_distribution(
             )
         lp = solve_ratelimit_lp(s, policy.gamma)
         probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-        return probs / np.maximum(beta[s.edge_donor], 1e-12)
-    raise ValueError(f"unsupported policy kind {policy.kind!r}")
+        pi = probs / np.maximum(beta[s.edge_donor], 1e-12)
+    else:
+        raise ValueError(f"unsupported policy kind {policy.kind!r}")
+    mass = np.zeros((s.n_donors, s.horizon))
+    np.add.at(mass, s.edge_donor, pi)
+    if mass.max(initial=0.0) > 1.0 + VALIDITY_TOL:
+        ui, tau = np.unravel_index(np.argmax(mass), mass.shape)
+        raise ValueError(
+            f"{policy.kind} pre-match distribution has mass {mass[ui, tau]:.6f} > 1 "
+            f"for donor {s.donors[ui].id!r} at step {tau + 1}"
+        )
+    return pi

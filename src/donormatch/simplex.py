@@ -11,12 +11,16 @@ degenerate steps.
 
 Desk-scale instances only: the tableau is dense and each pivot costs
 O(rows x columns).
+
+``branch_and_bound`` adds binary columns by best-first search over these.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +28,11 @@ FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITERS = 20000
+
+# Branch and bound: integrality tolerance, relative stopping gap, node budget.
+INT_TOL = 1e-6
+REL_GAP = 1e-6
+MAX_NODES = 20000
 
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 
@@ -126,6 +135,56 @@ def solve_lp(
     if resid.size and resid.max() > FEAS_TOL * 10 * max(1.0, np.abs(b).max()):
         raise SimplexError(f"solution violates a row by {resid.max():g}")
     return LpResult("optimal", x, float(c @ x))
+
+
+def branch_and_bound(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, upper: np.ndarray, n_binary: int
+) -> Tuple[np.ndarray, float, int]:
+    """Maximize c.x over A x <= b, 0 <= x <= upper, x_j in {0, 1} for j < n_binary.
+
+    Best-first search over the relaxations, binaries pinned through their
+    bounds. As b >= 0, x = 0 is feasible and is the first incumbent.
+    Returns (x, bound, nodes): the best integral point, an upper bound on
+    the optimum (the largest relaxation value open when the search stops,
+    else c.x) and the nodes popped. A node LP failure, or a search past
+    MAX_NODES nodes, raises SimplexError.
+    """
+    c, b, upper = (np.asarray(v, dtype=float) for v in (c, b, upper))
+    if (b < 0.0).any():
+        raise ValueError("branch and bound needs b >= 0, so that x = 0 is feasible")
+    best_x, best_obj = np.zeros(c.size), 0.0
+    counter = itertools.count()
+    heap = []
+
+    def push(lo, up):
+        res = solve_lp(c, A, b, up, lo)
+        if res.status == "optimal":
+            heapq.heappush(heap, (-res.objective, next(counter), res.x, lo, up))
+
+    push(np.zeros(c.size), upper)
+    nodes = 0
+    while heap:
+        neg_bound, _, x, lo, up = heapq.heappop(heap)
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise SimplexError(f"node budget {MAX_NODES} exhausted")
+        if -neg_bound <= best_obj + max(1e-9, REL_GAP * abs(best_obj)):
+            return best_x, max(-neg_bound, best_obj), nodes  # nothing open beats it
+
+        frac = np.abs(x[:n_binary] - np.round(x[:n_binary]))
+        if n_binary == 0 or frac.max() <= INT_TOL:
+            x[:n_binary] = np.round(x[:n_binary])
+            obj = float(c @ x)
+            if obj > best_obj:
+                best_obj, best_x = obj, x
+            continue
+
+        j = int(np.argmax(frac))
+        lo_hi, up_lo = lo.copy(), up.copy()
+        lo_hi[j], up_lo[j] = 1.0, 0.0
+        push(lo, up_lo)    # x_j = 0 child
+        push(lo_hi, up)    # x_j = 1 child
+    return best_x, best_obj, nodes
 
 
 def _pivot_until_optimal(M, xB, basis, status, u_all, d) -> None:

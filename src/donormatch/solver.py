@@ -24,11 +24,12 @@ Without a band most solves have closed forms:
   over the steps; its bound is the program's optimal value.
 
 What remains, the banded solves and the unbanded rate-limited relaxation
-at K > 1, goes to the dense simplex (branch and bound for the integral
-kinds, seeded with the empty matching, which is always feasible), or, for
-a relaxation whose dense simplex tableau would have more than
-SIMPLEX_MAX_ENTRIES entries, to the structured interior point in
-``ipm.py``, which returns its solution with a certified dual bound.
+at K > 1, goes to ``simplex.py``: to the dense simplex, or for the
+integral kinds to its branch and bound, which starts from the empty
+matching and reports a bound. A relaxation whose dense simplex tableau
+would have more than SIMPLEX_MAX_ENTRIES entries goes instead to the
+structured interior point in ``ipm.py``, which returns its solution with
+a certified dual bound.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graph import DemandRealization, Scenario
-from .milp import MilpError, solve_milp
-from .simplex import SimplexError, solve_lp
+from .simplex import SimplexError, branch_and_bound, solve_lp
 from .windows import _induced_availability, _window_cells
 
 FIXEDTIME_MILP = "fixedtime_milp"
@@ -78,12 +78,12 @@ class LpSolution:
     recipients whose score is 0. ``a`` is the induced donor availability
     and is populated only for the rate-limited kinds; elsewhere it is None.
     ``bound`` is an upper bound on the optimum: the interior point's
-    certified bound, or on the closed forms the knapsack duals' bound or
-    the dynamic program's optimal value; it is NaN when the simplex or
-    branch and bound solved it. ``iterations`` is 0 for a closed form
-    (a solve without cells included), counts interior-point iterations,
-    or branch-and-bound nodes for the integral kinds; it is None for a
-    relaxation the simplex solved.
+    certified bound, branch and bound's largest open relaxation value, or
+    on the closed forms the knapsack duals' bound or the dynamic program's
+    optimal value; it is NaN for a relaxation the simplex solved.
+    ``iterations`` is 0 for a closed form (a solve without cells included),
+    counts interior-point iterations, or branch-and-bound nodes for the
+    integral kinds; it is None for a relaxation the simplex solved.
     """
 
     kind: str
@@ -270,12 +270,8 @@ def _solve_cells(
         A[m0::2, nc], A[m0 + 1 :: 2, nc] = 1.0, -1.0
 
     if integral:
-        res = solve_milp(
-            cfull, A, b, upfull, binary=np.arange(nc), incumbent_x=np.zeros(cfull.size)
-        )
-        if res.status != "optimal":
-            raise MilpError("integral solve lost the empty-matching incumbent")
-        return _assemble(s, kind, ce, ct, res.x[:nc], cost, gamma, iterations=res.nodes)
+        xb, bound, nodes = branch_and_bound(cfull, A, b, upfull, nc)
+        return _assemble(s, kind, ce, ct, xb[:nc], cost, gamma, bound, nodes)
     lp = solve_lp(cfull, A, b, upfull)
     if lp.status != "optimal":
         raise SimplexError("relaxation reported infeasible; empty matching exists")

@@ -3,14 +3,41 @@
 from __future__ import annotations
 
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+import donormatch
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _imported_names(text):
+    """Names that the ``from donormatch import ...`` statements in text import."""
+    names = []
+    for group in re.findall(r"^\s*from donormatch import (\([^)]*\)|[^\n]+)", text, re.M):
+        names += [item.split()[0] for item in group.strip("()").split(",") if item.strip()]
+    return names
+
+
+def test_the_names_the_readme_demos_and_benchmark_use_are_exported():
+    # The benchmark runs the package as it stands, through ``dm.<name>``
+    # (``dm`` being the imported package), so trimming the exports must
+    # keep every name that it, the README and the demos use.
+    used = {}
+    for path in [ROOT / "README.md", *DEMOS]:
+        for name in _imported_names(path.read_text()):
+            used.setdefault(name, path.name)
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for name in re.findall(r"\bdm\.(\w+)", path.read_text()):
+            used.setdefault(name, str(path.relative_to(ROOT)))
+    assert len(used) >= 20
+    assert {n: where for n, where in used.items() if not hasattr(donormatch, n)} == {}

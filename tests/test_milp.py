@@ -1,3 +1,5 @@
+"""Branch and bound, ``simplex.branch_and_bound``, against enumeration."""
+
 from __future__ import annotations
 
 import itertools
@@ -5,55 +7,38 @@ import itertools
 import numpy as np
 import pytest
 
-from donormatch.milp import solve_milp
+from donormatch.simplex import REL_GAP, branch_and_bound
 
 
-def brute_best(c, A, b, upper, binary):
-    n = len(c)
+def brute_best(c, A, b):
+    """Best c.x over every binary x with A x <= b."""
     best = -np.inf
-    for bits in itertools.product(*[[0.0, 1.0] if j in binary else [None] for j in range(n)]):
-        x = np.array([v if v is not None else 0.0 for v in bits])
-        # continuous vars greedily at bound when feasible-checkable: keep them binary-free tests only
-        if np.all(A @ x <= b + 1e-9) and np.all(x <= upper + 1e-9):
+    for bits in itertools.product([0.0, 1.0], repeat=len(c)):
+        x = np.array(bits)
+        if np.all(A @ x <= b + 1e-9):
             best = max(best, float(np.dot(c, x)))
     return best
 
 
 def test_relaxation_fractional_but_milp_integral():
     # max x1 + x2, x1 + x2 <= 1.5 -> LP gives 1.5, MILP 1.0
-    res = solve_milp(
-        c=[1.0, 1.0],
-        A=[[1.0, 1.0]],
-        b=[1.5],
-        upper=[1.0, 1.0],
-        binary=[0, 1],
-        incumbent_x=np.zeros(2),
-    )
-    assert res.objective == pytest.approx(1.0, abs=1e-9)
-    assert set(np.round(res.x).tolist()) <= {0.0, 1.0}
+    c = np.array([1.0, 1.0])
+    x, bound, nodes = branch_and_bound(c, [[1.0, 1.0]], [1.5], [1.0, 1.0], n_binary=2)
+    assert c @ x == pytest.approx(1.0, abs=1e-9)
+    assert set(x.tolist()) <= {0.0, 1.0}
+    assert bound == pytest.approx(1.0, abs=1e-9) and nodes >= 2
 
 
 def test_incumbent_returned_when_nothing_better():
-    res = solve_milp(
-        c=[-1.0],
-        A=[[1.0]],
-        b=[1.0],
-        upper=[1.0],
-        binary=[0],
-        incumbent_x=np.zeros(1),
-    )
-    assert res.objective == pytest.approx(0.0, abs=1e-12)
+    x, bound, _ = branch_and_bound(c=[-1.0], A=[[1.0]], b=[1.0], upper=[1.0], n_binary=1)
+    assert x.tolist() == [0.0]
+    assert bound == pytest.approx(0.0, abs=1e-12)
 
 
-def test_infeasible_without_incumbent():
-    res = solve_milp(
-        c=[1.0],
-        A=[[1.0], [-1.0]],
-        b=[0.2, -0.8],  # 0.8 <= x <= 0.2
-        upper=[1.0],
-        binary=[0],
-    )
-    assert res.status == "infeasible"
+def test_a_negative_right_hand_side_is_rejected():
+    # 0.8 <= x <= 0.2 would leave no incumbent: x = 0 must be feasible.
+    with pytest.raises(ValueError, match="b >= 0"):
+        branch_and_bound(c=[1.0], A=[[1.0], [-1.0]], b=[0.2, -0.8], upper=[1.0], n_binary=1)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -64,12 +49,10 @@ def test_random_binary_programs_match_enumeration(seed):
     c = rng.normal(size=n)
     A = rng.normal(size=(m, n))
     b = rng.uniform(0.5, 2.5, size=m)
-    upper = np.ones(n)
-    binary = list(range(n))
 
-    res = solve_milp(c, A, b, upper, binary, incumbent_x=None)
-    ref = brute_best(c, A, b, upper, binary)
-    if ref == -np.inf:
-        assert res.status == "infeasible"
-    else:
-        assert res.objective == pytest.approx(ref, abs=1e-7)
+    x, bound, _ = branch_and_bound(c, A, b, np.ones(n), n)
+    ref = brute_best(c, A, b)
+    assert np.isin(x, (0.0, 1.0)).all() and np.all(A @ x <= b + 1e-9)
+    assert c @ x == pytest.approx(ref, abs=1e-7)
+    assert bound >= c @ x
+    assert bound - c @ x <= max(1e-9, REL_GAP * abs(c @ x))

@@ -270,6 +270,33 @@ def test_expectations_match_monte_carlo_for_the_rate_rounding_kind():
     assert_close_to_monte_carlo(s, spec, r, exact, beta=beta)
 
 
+def test_a_plan_distribution_with_mass_over_one_is_refused():
+    # x* = 0.5 = p at every step; at alpha = 1 the donor pre-matches with
+    # probability 1 at step 1, so beta_2 is about 1/2 and step 2's mass
+    # about 2. The simulator refuses that plan, and so must the oracle.
+    s = build_scenario(
+        donors=[Donor("u", 0.0, 0.0)],
+        recipients=[Recipient("b", 0.0, 0.0, kind="dynamic")],
+        edges=[("u", "b")],
+        weights=[[1.0, 1.0, 1.0]],
+        availability={"b": 0.5},
+        horizon=3,
+        rate_limit=2,
+    )
+    r = all_ones_realization(s)
+    spec = PolicySpec("nadaplp_rate", gamma=0.0, alpha=1.0, mode=MODE_RATE)
+    beta = estimate_beta(s, 0.0, 1.0, 200, np.random.default_rng(5))
+    for evaluate in (
+        lambda: brute_force_policy_expectation(s, spec, r, beta=beta),
+        lambda: monte_carlo_evaluate(
+            s, spec, 10, realization_mode="fixed", rng=np.random.default_rng(1),
+            realization=r, beta=beta,
+        ),
+    ):
+        with pytest.raises(ValueError, match=r"mass \d\.\d+ > 1 for donor 'u' at step 2"):
+            evaluate()
+
+
 # ---------------------------------------------------------------------------
 # proportional-allocation search
 

@@ -31,10 +31,9 @@ from donormatch.graph import (
     with_normalization,
 )
 from donormatch import solver
-from donormatch.milp import solve_milp
 from donormatch.oracle import brute_force_opt
 from donormatch.policies import PolicySpec
-from donormatch.simplex import solve_lp
+from donormatch.simplex import REL_GAP, branch_and_bound, solve_lp
 from donormatch.simulate import draw_realization, run_policy
 from donormatch.solver import (
     solve_fixedtime_lp,
@@ -303,6 +302,23 @@ def test_milp_objective_monotone_in_gamma():
             objs = [solve(s, r, g).objective for g in grid]
             for lo, hi in zip(objs[1:], objs):
                 assert lo <= hi + 1e-7
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_branch_and_bound_reports_a_bound_within_its_gap(gamma):
+    rng = np.random.default_rng(4100 + int(gamma * 10))
+    branched = 0
+    for _ in range(20):
+        s = random_instance(rng)
+        r = random_realization(s, rng)
+        for solve in (solve_offline_opt, solve_ratelimit_opt):
+            sol = solve(s, r, gamma)
+            if sol.iterations == 0:
+                continue  # no band left: a closed form
+            branched += 1
+            assert sol.bound >= sol.objective
+            assert sol.bound - sol.objective <= max(1e-9, REL_GAP * abs(sol.objective))
+    assert branched >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +724,7 @@ def _dense_optimum(s, ce, ct, cost, ub, width, integral):
     A[rows, cols] = 1.0
     b = np.ones(A.shape[0])
     if integral:
-        return solve_milp(cost, A, b, ub, np.arange(ce.size), np.zeros(ce.size)).objective
+        return float(cost @ branch_and_bound(cost, A, b, ub, ce.size)[0])
     return solve_lp(cost, A, b, ub).objective
 
 
