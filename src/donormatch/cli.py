@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import warnings
@@ -103,16 +102,15 @@ def _load_valid_scenario(path) -> Scenario:
 
 
 def cmd_generate(args) -> int:
-    looks_like_path = os.sep in args.config or args.config.endswith(".json")
+    # A name is a file by its form alone, so no file or directory in the
+    # working directory can take over a bundled city's name.
     try:
-        if os.path.exists(args.config):
+        if os.sep in args.config or args.config.endswith(".json"):
             cfg = synthgen.load_config(args.config)
-        elif looks_like_path:
-            raise ValueError(f"config file not found: {args.config}")
         else:
             cfg = synthgen.load_bundled_config(args.config)
         s = synthgen.generate_city(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         _info(f"config error: {err}")
         return 2
     problems = validate_scenario(s)
@@ -135,7 +133,7 @@ def cmd_run(args) -> int:
     try:
         s = _load_valid_scenario(args.scenario)
         policy = parse_policy(args.policy, mode=mode)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         _info(f"input error: {err}")
         return 2
     s = _ensure_normalization(s, args.seed, mode)
@@ -279,15 +277,14 @@ def cmd_sweep(args) -> int:
         return 2
     try:
         s = _load_valid_scenario(args.scenario)
-        gammas = _parse_gammas(args.gammas)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         _info(f"input error: {err}")
         return 2
     s = _ensure_normalization(s, args.seed, MODE_FIXED)
     m = _norm_dict(s)
     _name_unscored(scored_recipients(m, m)[1])
     try:
-        rows = sweep_rows(s, gammas, args.trials, args.seed)
+        rows = sweep_rows(s, args.gammas, args.trials, args.seed)
     except (ValueError, RuntimeError) as err:
         _info(f"sweep failed: {err}")
         return 1
@@ -298,7 +295,7 @@ def cmd_sweep(args) -> int:
     svg_path = os.path.join(args.out_dir, "sweep.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(sweep_svg(rows))
-    _info(f"swept {len(gammas)} gamma values; wrote {csv_path} and {svg_path}")
+    _info(f"swept {len(args.gammas)} gamma values; wrote {csv_path} and {svg_path}")
     return 0
 
 
@@ -306,7 +303,7 @@ def cmd_oracle(args) -> int:
     mode = _MODES[args.mode]
     try:
         s = _load_valid_scenario(args.scenario)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         _info(f"input error: {err}")
         return 2
     if args.gamma > 0.0:
@@ -440,17 +437,12 @@ def sweep_svg(rows: Sequence[Dict[str, float]]) -> str:
 
 
 def _parse_gammas(text: str) -> List[float]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        g = float(piece)
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma {g} outside [0, 1]")
-        out.append(g)
-    if not out:
-        raise ValueError("empty gamma list")
+    try:
+        out = [float(piece) for piece in text.split(",") if piece.strip()]
+    except ValueError:
+        out = []
+    if not out or not all(0.0 <= g <= 1.0 for g in out):
+        raise argparse.ArgumentTypeError(f"expected comma-separated gammas in [0, 1], got {text!r}")
     return out
 
 
@@ -465,16 +457,19 @@ def _trial_count(text: str) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument(
+    # Each subcommand takes only the flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="directory for output files")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master random seed")
+    seeded.add_argument(
         "--mode",
         choices=("fixed", "rate"),
         default="fixed",
         help="notification protocol: fixed-time schedule or rate limit",
     )
-    common.add_argument("--trials", type=_trial_count, default=50, help="Monte Carlo trials")
-    common.add_argument("--out-dir", default=".", help="directory for output files")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded, out])
+    sampled.add_argument("--trials", type=_trial_count, default=50, help="Monte Carlo trials")
 
     parser = argparse.ArgumentParser(
         prog="donormatch",
@@ -484,13 +479,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "generate",
-        parents=[common],
+        parents=[out],
         help="sample a synthetic city scenario from a config file or bundled name",
     )
-    p.add_argument("config", help="config JSON path or bundled city name")
+    p.add_argument("config", help="config file (path with a / or .json) or bundled city name")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("run", parents=[common], help="evaluate one policy on a scenario")
+    p = sub.add_parser("run", parents=[sampled], help="evaluate one policy on a scenario")
     p.add_argument("scenario", help="scenario JSON path")
     p.add_argument(
         "policy",
@@ -500,11 +495,12 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="trace the fairness/efficiency frontier"
+        "sweep", parents=[sampled], help="trace the fairness/efficiency frontier"
     )
     p.add_argument("scenario", help="scenario JSON path")
     p.add_argument(
         "--gammas",
+        type=_parse_gammas,
         default=",".join(str(g) for g in SWEEP_GAMMAS),
         help="comma-separated gamma grid (default 0.0,0.1,...,1.0)",
     )
@@ -512,7 +508,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle",
-        parents=[common],
+        parents=[seeded],
         help="cross-check the optimizer against enumeration on a small scenario",
     )
     p.add_argument("scenario", help="scenario JSON path")

@@ -165,49 +165,52 @@ def fixed_schedule(first_notify: int, horizon: int, rate_limit: int) -> np.ndarr
     return row
 
 
-WeightSpec = Union[float, Sequence[float], Mapping[Union[int, str], float]]
+StepSpec = Union[float, Sequence[float], Mapping[Union[int, str], float]]
 
 
-def _weight_row(spec: WeightSpec, horizon: int, label: str) -> np.ndarray:
-    """Expand one edge's weight spec (a constant, else a per-step list or map) to length T."""
+def _step_row(
+    spec: StepSpec, horizon: int, default: Optional[float], what: str, label: str
+) -> np.ndarray:
+    """Expand one per-step spec to length T: a constant, a length-T list or a {t: value} map.
+
+    A map's keys are the steps 1..T, as ints or strings. The steps it leaves
+    out take ``default``; with no default, a step left out is an error.
+    """
     if isinstance(spec, Mapping):
-        row = np.empty(horizon, dtype=float)
-        for t in range(1, horizon + 1):
-            if t in spec:
-                row[t - 1] = float(spec[t])
-            elif str(t) in spec:
-                row[t - 1] = float(spec[str(t)])
-            else:
-                raise ValueError(f"missing weight at t={t} for {label}")
+        row = np.full(horizon, np.nan if default is None else default)
+        for key, val in spec.items():
+            if not 1 <= int(key) <= horizon:
+                raise ValueError(f"{what} step {key} outside 1..{horizon} for {label}")
+            row[int(key) - 1] = float(val)
+        if np.isnan(row).any():
+            raise ValueError(f"missing {what} at t={np.argmax(np.isnan(row)) + 1} for {label}")
         return row
     if np.ndim(spec) == 0:
         return np.full(horizon, float(spec))
     arr = np.asarray(spec, dtype=float)
     if arr.shape != (horizon,):
-        raise ValueError(f"weight list for {label} has length {arr.size}, want {horizon}")
+        raise ValueError(f"{what} list for {label} has length {arr.size}, want {horizon}")
     return arr
 
 
-def _availability_row(
-    spec: Optional[WeightSpec], horizon: int, kind: str
+def _known_ids(values: Mapping, recipients: Sequence[Recipient], what: str) -> Mapping:
+    """Return ``values``, a map keyed by recipient id, after refusing any key that is not one."""
+    unknown = set(values) - {v.id for v in recipients}
+    if unknown:
+        raise ValueError(f"{what} given for unknown recipients {sorted(unknown)}")
+    return values
+
+
+def _normalization_array(
+    m: Union[np.ndarray, Mapping[str, float]], recipients: Sequence[Recipient]
 ) -> np.ndarray:
-    """Expand one recipient's availability spec; absent entries default to 0 (dynamic) or 1 (static)."""
-    default = 1.0 if kind == STATIC else 0.0
-    if spec is None:
-        return np.full(horizon, default)
-    if isinstance(spec, Mapping):
-        row = np.full(horizon, default if kind == STATIC else 0.0)
-        for key, val in spec.items():
-            t = int(key)
-            if not 1 <= t <= horizon:
-                raise ValueError(f"availability step {t} outside 1..{horizon}")
-            row[t - 1] = float(val)
-        return row
-    if np.ndim(spec) == 0:
-        return np.full(horizon, float(spec))
-    arr = np.asarray(spec, dtype=float)
-    if arr.shape != (horizon,):
-        raise ValueError(f"availability list has length {arr.size}, want {horizon}")
+    """Scores in recipient order from an array (V,) or a map keyed by id (absent ids score 0)."""
+    if isinstance(m, Mapping):
+        m = _known_ids(m, recipients, "normalization")
+        return np.array([float(m.get(v.id, 0.0)) for v in recipients])
+    arr = np.asarray(m, dtype=float)
+    if arr.shape != (len(recipients),):
+        raise ValueError(f"normalization array has shape {arr.shape}, want {(len(recipients),)}")
     return arr
 
 
@@ -215,31 +218,34 @@ def build_scenario(
     donors: Sequence[Donor],
     recipients: Sequence[Recipient],
     edges: Sequence[Edge],
-    weights: Union[np.ndarray, Sequence[WeightSpec], Mapping[Edge, WeightSpec]],
-    availability: Union[np.ndarray, Mapping[str, WeightSpec], None],
+    weights: Union[np.ndarray, Sequence[StepSpec]],
+    availability: Union[np.ndarray, Mapping[str, StepSpec], None],
     horizon: int,
     rate_limit: int,
     normalization: Union[np.ndarray, Mapping[str, float], None] = None,
 ) -> Scenario:
-    """Assemble a Scenario from flexible inputs.
+    """Assemble a Scenario from arrays or per-entity specs.
 
     Parameters
     ----------
-    weights : array (E, T), list parallel to ``edges``, or map keyed by edge
-        Each per-edge entry may be a constant (same weight at every step),
-        a length-T sequence, or a {t: weight} map covering every step.
+    weights : array (E, T) or list parallel to ``edges``
+        Each list entry is a constant (the same weight at every step), a
+        length-T list, or a {t: weight} map covering every step.
     availability : array (V, T) or map keyed by recipient id
-        Static recipients may be omitted (implied 1.0); for dynamic
-        recipients absent entries default to 0.
+        Each map entry takes the same three forms. Recipients the map leaves
+        out, and the steps an entry's map leaves out, default to 1.0 for
+        static recipients and 0 for dynamic ones.
     normalization : array (V,) or map keyed by recipient id, optional
+        Recipients the map leaves out score 0.
 
     Returns
     -------
     Scenario
         With the fixed-time schedule materialized from each donor's
         first-notify day. Semantic problems (out-of-range weights and the
-        like) are left to ``validate_scenario``; only structural errors
-        (unknown ids, wrong lengths) raise here.
+        like) are left to ``validate_scenario``; structural errors (unknown
+        ids, wrong shapes or lengths, steps outside 1..T) raise ValueError
+        here.
     """
     donors = tuple(donors)
     recipients = tuple(recipients)
@@ -252,46 +258,31 @@ def build_scenario(
         if W.shape != (E, T):
             raise ValueError(f"weights array has shape {W.shape}, want {(E, T)}")
     else:
+        specs = list(weights)
+        if len(specs) != E:
+            raise ValueError(f"{len(specs)} weight entries for {E} edges")
         W = np.empty((E, T), dtype=float)
-        if isinstance(weights, Mapping):
-            for e, edge in enumerate(edges):
-                if edge not in weights:
-                    raise ValueError(f"missing weights for edge {edge}")
-                W[e] = _weight_row(weights[edge], T, f"edge {edge}")
-        else:
-            specs = list(weights)
-            if len(specs) != E:
-                raise ValueError(f"{len(specs)} weight entries for {E} edges")
-            for e, spec in enumerate(specs):
-                W[e] = _weight_row(spec, T, f"edge {edges[e]}")
+        for e, spec in enumerate(specs):
+            W[e] = _step_row(spec, T, None, "weight", f"edge {edges[e]}")
 
     if isinstance(availability, np.ndarray):
         P = np.asarray(availability, dtype=float)
         if P.shape != (V, T):
             raise ValueError(f"availability array has shape {P.shape}, want {(V, T)}")
     else:
-        avail_map = dict(availability) if availability else {}
-        unknown = set(avail_map) - {v.id for v in recipients}
-        if unknown:
-            raise ValueError(f"availability given for unknown recipients {sorted(unknown)}")
+        avail_map = _known_ids(availability or {}, recipients, "availability")
         P = np.empty((V, T), dtype=float)
         for i, rec in enumerate(recipients):
-            P[i] = _availability_row(avail_map.get(rec.id), T, rec.kind)
+            spec = avail_map.get(rec.id)
+            P[i] = _step_row(
+                {} if spec is None else spec,
+                T,
+                1.0 if rec.kind == STATIC else 0.0,
+                "availability",
+                f"recipient {rec.id}",
+            )
 
-    if normalization is None:
-        m = None
-    elif isinstance(normalization, Mapping):
-        m = np.zeros(V, dtype=float)
-        unknown = set(normalization) - {v.id for v in recipients}
-        if unknown:
-            raise ValueError(f"normalization given for unknown recipients {sorted(unknown)}")
-        for i, rec in enumerate(recipients):
-            if rec.id in normalization:
-                m[i] = float(normalization[rec.id])
-    else:
-        m = np.asarray(normalization, dtype=float)
-        if m.shape != (V,):
-            raise ValueError(f"normalization array has shape {m.shape}, want {(V,)}")
+    m = None if normalization is None else _normalization_array(normalization, recipients)
 
     A = np.stack(
         [fixed_schedule(d.first_notify, T, int(rate_limit)) for d in donors]
@@ -326,12 +317,9 @@ def validate_scenario(s: Scenario) -> List[str]:
 
     donor_ids = [d.id for d in s.donors]
     recipient_ids = [v.id for v in s.recipients]
-    if len(set(donor_ids)) != len(donor_ids):
-        dupes = sorted({i for i in donor_ids if donor_ids.count(i) > 1})
-        out.append(f"duplicate donor ids {dupes}")
-    if len(set(recipient_ids)) != len(recipient_ids):
-        dupes = sorted({i for i in recipient_ids if recipient_ids.count(i) > 1})
-        out.append(f"duplicate recipient ids {dupes}")
+    for what, ids in (("donor", donor_ids), ("recipient", recipient_ids)):
+        if len(set(ids)) != len(ids):
+            out.append(f"duplicate {what} ids {sorted({i for i in ids if ids.count(i) > 1})}")
     donor_set, recipient_set = set(donor_ids), set(recipient_ids)
 
     seen = set()
@@ -372,12 +360,13 @@ def validate_scenario(s: Scenario) -> List[str]:
         )
         return out
 
-    bad_e, bad_t = np.where((s.weights < 0.0) | (s.weights > 1.0))
+    # Written so that NaN, which fails every comparison, is flagged too.
+    bad_e, bad_t = np.where(~((s.weights >= 0.0) & (s.weights <= 1.0)))
     for e, tc in zip(bad_e, bad_t):
         out.append(
             f"weight {s.weights[e, tc]:g} outside [0, 1] on edge {s.edges[e]} at t={tc + 1}"
         )
-    bad_v, bad_t = np.where((s.availability < 0.0) | (s.availability > 1.0))
+    bad_v, bad_t = np.where(~((s.availability >= 0.0) & (s.availability <= 1.0)))
     for vi, tc in zip(bad_v, bad_t):
         out.append(
             f"availability {s.availability[vi, tc]:g} outside [0, 1] for "
@@ -403,9 +392,9 @@ def validate_scenario(s: Scenario) -> List[str]:
             out.append(f"normalization has shape {s.normalization.shape}")
         else:
             for i, rec in enumerate(s.recipients):
-                if s.normalization[i] < 0:
+                if not s.normalization[i] >= 0:
                     out.append(
-                        f"normalization {s.normalization[i]:g} < 0 for recipient {rec.id}"
+                        f"normalization {s.normalization[i]:g} is not >= 0 for recipient {rec.id}"
                     )
     return out
 
@@ -511,12 +500,8 @@ def validate_outcome(
 def with_normalization(
     s: Scenario, m: Union[np.ndarray, Mapping[str, float]]
 ) -> Scenario:
-    """Copy of s with normalization scores attached."""
-    if isinstance(m, Mapping):
-        arr = np.array([float(m.get(v.id, 0.0)) for v in s.recipients])
-    else:
-        arr = np.asarray(m, dtype=float)
-    return replace(s, normalization=arr)
+    """Copy of s with normalization scores m, read as ``build_scenario`` reads them."""
+    return replace(s, normalization=_normalization_array(m, s.recipients))
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ the point's objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .graph import Scenario
-from .windows import _window_rows
 
 GAP_TOL = 1e-9  # relative gap at which a solve stops
 STALL_GAP_TOL = 1e-7  # relative gap accepted once the gap stops improving
@@ -78,8 +78,7 @@ def solve_window_lp(
     cost: np.ndarray,
     ub: np.ndarray,
     width: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    window: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     q: np.ndarray,
     v: np.ndarray,
     nb: int,
@@ -87,13 +86,14 @@ def solve_window_lp(
 ) -> IpmResult:
     """Maximize cost.x over the cells (ce, ct) and L, 0 <= x <= ub.
 
-    The packing rows are ``windows._window_rows`` of ``width`` steps, and
-    (rows, cols) their (row, cell) incidence, ``windows._window_cells``.
+    The packing rows are the windows of ``width`` steps that
+    ``windows._window_cells`` returns: their (donor, step) ends and their
+    (row, cell) incidence, as ``window`` = (ru, rt, rows, cols).
     With nb > 0, the banded totals s_j = sum of q x over the cells with
     v = j keep within the gamma band, and ``cost`` and ``ub`` end with L's
     entry. Raises IpmError past MAX_ITERS iterations.
     """
-    return _WindowLp(s, ce, ct, cost, ub, width, rows, cols, q, v, nb, gamma).solve()
+    return _WindowLp(s, ce, ct, cost, ub, width, window, q, v, nb, gamma).solve()
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -131,14 +131,13 @@ def _step_to_boundary(vals: np.ndarray, dirs: np.ndarray) -> float:
 class _WindowLp:
     """One relaxation: its operators A x and A'y, the normal equations, the loop."""
 
-    def __init__(self, s, ce, ct, cost, ub, width, rows, cols, q, v, nb, gamma):
+    def __init__(self, s, ce, ct, cost, ub, width, window, q, v, nb, gamma):
         self.U, self.T, self.width = s.n_donors, s.horizon, width
         self.donor, self.step = s.edge_donor[ce], ct
         self.cell = self.donor * self.T + ct
-        self.ru, self.rt = _window_rows(s, ce, ct, width)
+        self.ru, self.rt, self.rows, self.cols = window
         self.nc, self.m0 = ce.size, self.ru.size
         self.c, self.hi = cost, ub
-        self.rows, self.cols = rows, cols
         if width > 1:
             widest = np.zeros((self.U, self.T), dtype=bool)
             widest[self.ru, self.rt] = True

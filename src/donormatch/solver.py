@@ -239,8 +239,9 @@ def _solve_cells(
     if nb:  # L, the band's one auxiliary, is the last column
         cap = float(np.bincount(v, q * ub, minlength=nb).max()) + 1.0
         cfull, upfull = np.append(cost, 0.0), np.append(ub, cap)
-    rows, cols = _window_cells(s, ce, ct, width)
-    m0 = int(rows[-1]) + 1
+    window = _window_cells(s, ce, ct, width)
+    ru, _, rows, cols = window
+    m0 = ru.size
     nrow, ncol = (m0 + 2 * nb, nc + 1) if nb else (m0, nc)
     entries = nrow * (ncol + nrow)
     if not integral and entries > SIMPLEX_MAX_ENTRIES:
@@ -248,7 +249,7 @@ def _solve_cells(
         # it takes about a seventh of the package's import time.
         from .ipm import IpmError, relative_gap, solve_window_lp
 
-        res = solve_window_lp(s, ce, ct, cfull, upfull, width, rows, cols, q, v, nb, gamma)
+        res = solve_window_lp(s, ce, ct, cfull, upfull, width, window, q, v, nb, gamma)
         gap = relative_gap(res.objective, res.bound)
         if gap > MAX_CERTIFIED_GAP:
             raise IpmError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import List, Mapping, Tuple, Union
@@ -255,8 +256,11 @@ def config_from_dict(doc: Mapping, base_dir=None) -> GeneratorConfig:
     """Build a GeneratorConfig from a parsed JSON document.
 
     ``population`` is either {"grid": <csv path or bundled grid name>} or
-    {"uniform_disc": {"center": [lat, lon], "radius_km": r}}. Grid paths
-    resolve against base_dir first, then the bundled grids.
+    {"uniform_disc": {"center": [lat, lon], "radius_km": r}}; a grid
+    resolves as ``_resolve_grid`` says. The optional ``availability``
+    block takes ``low``, ``high`` and ``mean_run_length``. Unknown keys,
+    at the top level or in the block, raise ValueError; absent ones take
+    GeneratorConfig's defaults.
     """
     doc = dict(doc)
     pop = doc.pop("population", None)
@@ -274,12 +278,15 @@ def config_from_dict(doc: Mapping, base_dir=None) -> GeneratorConfig:
     else:
         raise ValueError(f"unknown population form {sorted(pop)}")
 
-    avail = doc.pop("availability", None)
-    kwargs = {}
-    if avail is not None:
-        kwargs["availability_low"] = float(avail.get("low", 0.1))
-        kwargs["availability_high"] = float(avail.get("high", 0.9))
-        kwargs["mean_run_length"] = float(avail.get("mean_run_length", 4.0))
+    avail = doc.pop("availability", {})
+    block = {
+        "low": "availability_low",
+        "high": "availability_high",
+        "mean_run_length": "mean_run_length",
+    }
+    if not isinstance(avail, Mapping) or set(avail) - set(block):
+        raise ValueError(f"availability block takes only {sorted(block)}, got {avail!r}")
+    kwargs = {block[key]: float(value) for key, value in avail.items()}
 
     known = {
         "donor_count": int,
@@ -306,13 +313,12 @@ def config_from_dict(doc: Mapping, base_dir=None) -> GeneratorConfig:
 
 
 def _resolve_grid(ref, base_dir) -> np.ndarray:
-    import os
+    """Load a grid: a CSV path against base_dir (the config file's directory), else a bundled grid.
 
-    candidates = []
+    The working directory is never searched. A bundled name may omit ``.csv``.
+    """
     if base_dir is not None:
-        candidates.append(os.path.join(base_dir, str(ref)))
-    candidates.append(str(ref))
-    for path in candidates:
+        path = os.path.join(base_dir, str(ref))
         if os.path.exists(path):
             return load_population_grid(path)
     name = str(ref)
@@ -326,9 +332,7 @@ def _resolve_grid(ref, base_dir) -> np.ndarray:
 
 
 def load_config(path) -> GeneratorConfig:
-    """Read a generator config JSON file."""
-    import os
-
+    """Read a generator config JSON file; its grid paths resolve against its directory."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -66,8 +66,8 @@ def _window_rows(
 
 def _window_cells(
     s: Scenario, ce: np.ndarray, ct: np.ndarray, width: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, cell) incidence of the ``_window_rows`` over the active cells.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_window_rows`` (ru, rt) and their (row, cell) incidence over the active cells.
 
     Row i holds the cells of donor ru[i] with step in [rt[i] - width + 1, rt[i]].
     """
@@ -81,4 +81,4 @@ def _window_cells(
     size = (_prior_sum(per, width) + per)[ru, rt]
     rows = np.repeat(np.arange(ru.size), size)
     within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
-    return rows, order[np.repeat(first, size) + within]
+    return ru, rt, rows, order[np.repeat(first, size) + within]

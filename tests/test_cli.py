@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import json
 import re
 import warnings
 
@@ -73,6 +74,62 @@ def test_generate_rejects_bad_configs(tmp_path):
     notjson = tmp_path / "c.json"
     notjson.write_text("{not json")
     assert main(["generate", str(notjson), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_a_bare_name_is_a_bundled_city_whatever_the_working_directory_holds(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):  # the first run leaves a directory named like the city
+        assert main(["generate", "city_small", "--out-dir", "city_small"]) == 0
+    assert main(["generate", "city_small", "--out-dir", "again"]) == 0
+    assert filecmp.cmp("city_small/scenario.json", "again/scenario.json", shallow=False)
+    (tmp_path / "riverton").write_text("{}")
+    assert main(["generate", "riverton", "--out-dir", "out"]) == 0
+    assert load_scenario("out/scenario.json").n_donors == 90
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "city_small", "--seed", "5", "--out-dir", "{tmp}"],
+        ["generate", "city_small", "--mode", "rate", "--out-dir", "{tmp}"],
+        ["generate", "city_small", "--trials", "9", "--out-dir", "{tmp}"],
+        ["oracle", "{tiny}", "--trials", "5"],
+        ["oracle", "{tiny}", "--out-dir", "{tmp}"],
+    ],
+    ids=["generate-seed", "generate-mode", "generate-trials", "oracle-trials", "oracle-out-dir"],
+)
+def test_a_subcommand_refuses_the_flags_it_does_not_read(argv, tiny, tmp_path, capsys):
+    argv = [a.format(tiny=tiny, tmp=tmp_path / "out") for a in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": None}],
+    ids=["missing-keys", "null-horizon"],
+)
+@pytest.mark.parametrize(
+    "command", [["run", "rand"], ["sweep"], ["oracle"]], ids=["run", "sweep", "oracle"]
+)
+def test_a_malformed_scenario_file_is_an_input_error(command, doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], str(path), *command[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
+def test_a_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    disc = {"uniform_disc": {"center": [0.0, 0.0], "radius_km": 1.0}}
+    path.write_text(json.dumps({"donor_count": None, "recipient_count": 2, "population": disc}))
+    assert main(["generate", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +333,10 @@ def test_a_solver_failure_ends_in_one_line(command, target, tiny, tmp_path, caps
         raise IpmError("no certified solution for the test")
 
     monkeypatch.setattr(target, fail)
-    argv = [command[0], str(tiny), *command[1:], "--trials", "5"]
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    argv = [command[0], str(tiny), *command[1:]]
+    if command[0] != "oracle":  # oracle takes neither flag
+        argv += ["--trials", "5", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith(f"{command[0]} failed:")]
     assert len(failed) == 1 and "for the test" in failed[0]

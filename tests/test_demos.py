@@ -1,7 +1,8 @@
-"""Every demo script runs to the end against the package as it stands."""
+"""The demos and the README stay in step with the package as it stands."""
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 import runpy
@@ -9,6 +10,7 @@ import runpy
 import pytest
 
 import donormatch
+from donormatch import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -41,3 +43,18 @@ def test_the_names_the_readme_demos_and_benchmark_use_are_exported():
             used.setdefault(name, str(path.relative_to(ROOT)))
     assert len(used) >= 20
     assert {n: where for n, where in used.items() if not hasattr(donormatch, n)} == {}
+
+
+def test_the_readme_names_exactly_the_flags_each_subcommand_takes():
+    # The README lists each subcommand's flags as one bullet, "- `<name>`: ...".
+    section = (ROOT / "README.md").read_text().split("## Command line")[1].split("\n## ")[0]
+    documented = {
+        name: set(re.findall(r"--[a-z][a-z-]*", body))
+        for name, body in re.findall(r"^- `(\w+)`:(.*?)(?=^- |^$)", section, re.M | re.S)
+    }
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == accepted

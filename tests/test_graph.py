@@ -264,3 +264,105 @@ def test_weight_total_is_the_left_to_right_fold():
     assert got.tolist() == want
     assert float(weight_total(y[0])) == want[0]
     assert weight_total(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"horizon": 0}, "horizon 0 < 1"),
+        ({"rate_limit": 0}, "rate_limit 0 < 1"),
+        (
+            {"donors": (Donor("u", 0, 0),) * 2, "donor_schedule": np.ones((2, 1), np.int8)},
+            "duplicate donor ids ['u']",
+        ),
+        ({"recipients": (Recipient("A", 0, 0),) * 2}, "duplicate recipient ids ['A']"),
+        ({"edges": (("ghost", "A"), ("u", "B"))}, "references unknown donor ghost"),
+        ({"edges": (("u", "A"), ("u", "A"))}, "duplicate edge (u, A)"),
+        ({"donors": (Donor("u", 0, 0, first_notify=0),)}, "donor u first_notify 0 < 1"),
+        (
+            {"recipients": (Recipient("A", 0, 0, kind="often"), Recipient("B", 0, 0))},
+            "recipient A has unknown kind 'often'",
+        ),
+        ({"weights": np.full((1, 1), 0.5)}, "array shape mismatch"),
+        ({"availability": np.array([[1.0], [1.5]])}, "availability 1.5 outside [0, 1]"),
+        ({"donor_schedule": np.array([[2]], np.int8)}, "schedule has entries outside {0, 1}"),
+        ({"normalization": np.ones(3)}, "normalization has shape (3,)"),
+        ({"normalization": np.array([-0.1, 0.5])}, "normalization -0.1 is not >= 0 for recipient"),
+        ({"weights": np.array([[np.nan], [0.5]])}, "weight nan outside [0, 1] on edge ('u', 'A')"),
+        ({"availability": np.array([[1.0], [np.nan]])}, "availability nan outside [0, 1]"),
+        ({"normalization": np.array([np.nan, 0.5])}, "normalization nan is not >= 0"),
+    ],
+    ids=[
+        "horizon", "rate-limit", "donor-ids", "recipient-ids", "unknown-donor",
+        "duplicate-edge", "first-notify", "kind", "shapes", "availability",
+        "schedule", "normalization-shape", "normalization-sign", "weight-nan",
+        "availability-nan", "normalization-nan",
+    ],
+)
+def test_validate_scenario_names_each_violation(changes, message):
+    s = dataclasses.replace(two_recipient_instance(), **changes)
+    assert any(message in v for v in validate_scenario(s)), validate_scenario(s)
+
+
+def _build(**changes):
+    """build_scenario on one donor, static A and dynamic B, T = 2, with changes."""
+    kwargs = dict(
+        donors=[Donor("u", 0, 0)],
+        recipients=[Recipient("A", 0, 0), Recipient("B", 0, 0, kind="dynamic")],
+        edges=[("u", "A"), ("u", "B")],
+        weights=[0.5, 0.5],
+        availability={"B": 0.5},
+        horizon=2,
+        rate_limit=1,
+    )
+    kwargs.update(changes)
+    return build_scenario(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"weights": np.ones((2, 3))}, "weights array has shape (2, 3), want (2, 2)"),
+        ({"weights": [0.5]}, "1 weight entries for 2 edges"),
+        ({"weights": [[0.5], 0.5]}, "weight list for edge ('u', 'A') has length 1, want 2"),
+        ({"weights": [{1: 0.5, 2: 0.5, 9: 0.7}, 0.5]}, "weight step 9 outside 1..2"),
+        ({"availability": np.ones((2, 3))}, "availability array has shape (2, 3), want (2, 2)"),
+        ({"availability": {"C": 0.5}}, "availability given for unknown recipients ['C']"),
+        ({"availability": {"B": [0.5]}}, "availability list for recipient B has length 1"),
+        ({"availability": {"B": {"3": 0.5}}}, "availability step 3 outside 1..2"),
+        ({"normalization": np.ones(3)}, "normalization array has shape (3,), want (2,)"),
+        (
+            {"normalization": {"A": 1.0, "nobody": 2.0}},
+            "normalization given for unknown recipients ['nobody']",
+        ),
+    ],
+    ids=[
+        "weights-shape", "weight-count", "weight-length", "weight-step",
+        "availability-shape", "availability-id", "availability-length",
+        "availability-step", "normalization-shape", "normalization-id",
+    ],
+)
+def test_build_scenario_refuses_each_malformed_input(changes, message):
+    with pytest.raises(ValueError) as err:
+        _build(**changes)
+    assert message in str(err.value)
+
+
+def test_per_step_maps_fill_missing_steps_with_the_recipients_default():
+    s = _build(availability={"A": {"2": 0.5}, "B": {1: 0.25}}, weights=[{2: 0.1, 1: 0.2}, 0.5])
+    assert s.availability.tolist() == [[1.0, 0.5], [0.25, 0.0]]
+    assert s.weights.tolist() == [[0.2, 0.1], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.ones(3), "normalization array has shape (3,), want (2,)"),
+        ({"A": 1.0, "nobody": 2.0}, "normalization given for unknown recipients ['nobody']"),
+    ],
+    ids=["shape", "unknown-id"],
+)
+def test_with_normalization_refuses_what_build_scenario_refuses(m, message):
+    with pytest.raises(ValueError) as err:
+        with_normalization(two_recipient_instance(normalization=False), m)
+    assert message in str(err.value)

@@ -28,7 +28,7 @@ from donormatch.oracle import (
     find_proportional_allocation,
 )
 from donormatch.policies import PolicySpec, estimate_beta
-from donormatch.simulate import monte_carlo_evaluate
+from donormatch.simulate import monte_carlo_evaluate, run_policy
 from donormatch.solver import solve_offline_opt, solve_ratelimit_opt
 
 
@@ -182,6 +182,28 @@ def test_expectation_conditions_on_a_concrete_plan():
         s, PolicySpec("adaptmatch", gamma=0.0), r, plan=empty
     )
     assert got == {"A": 0.0, "B": 1.0}
+
+
+def test_rate_walk_on_a_concrete_plan_matches_the_simulator():
+    # Every decision is fixed by the plan and the realization: d1's match
+    # at t = 1 blocks t = 2, 3 (K = 3); d2's pre-match at t = 3 finds B down,
+    # so it does not block, and d2 matches A at t = 4.
+    s = build_scenario(
+        donors=[Donor("d1", 0.0, 0.0), Donor("d2", 0.0, 0.1)],
+        recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.1, 0.0, kind="dynamic")],
+        edges=[("d1", "A"), ("d1", "B"), ("d2", "A"), ("d2", "B")],
+        weights=[0.1, 0.2, 0.3, 0.4],
+        availability={"B": 0.5},
+        horizon=6,
+        rate_limit=3,
+    )
+    r = DemandRealization(np.array([[1] * 6, [1, 1, 0, 1, 1, 1]], dtype=np.int8))
+    plan = np.array([[0, 1, 1, 1, 0, -1], [-1, -1, 3, 2, 3, -1]], dtype=np.int64)
+    policy = PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE)
+    got = brute_force_policy_expectation(s, policy, r, plan=plan)
+    assert got == pytest.approx({"A": 0.4, "B": 0.2}, abs=1e-12)
+    sim = run_policy(s, policy, r, np.random.default_rng(0), plan=plan).outcome
+    np.testing.assert_allclose(sim.recipient_weight, [got["A"], got["B"]], rtol=0, atol=1e-12)
 
 
 def test_rate_distribution_mode_requires_the_availability_estimate():

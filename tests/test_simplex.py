@@ -108,3 +108,26 @@ def test_random_lp_matches_scipy(seed):
         assert np.all(A @ ours.x <= b + 1e-6)
         assert np.all(ours.x >= lower - 1e-9)
         assert np.all(ours.x <= upper + 1e-9)
+
+
+def test_a_degenerate_stall_switches_to_blands_rule_and_still_solves():
+    # 584 rows x_i - x_j <= 0 with b = 0: every vertex near the origin is
+    # degenerate, so the largest-coefficient rule stalls and the solve falls
+    # back to Bland's rule (11 times on this instance).
+    rng = np.random.default_rng(3)
+    mask = rng.random((60, 60)) < 0.15
+    np.fill_diagonal(mask, False)
+    i, j = np.nonzero(mask)
+    A = np.zeros((i.size, 60))
+    A[np.arange(i.size), i] = 1.0
+    A[np.arange(i.size), j] = -1.0
+    c = rng.uniform(-1.0, 1.0, 60)
+    b, upper = np.zeros(i.size), np.ones(60)
+    assert A.shape == (584, 60)
+
+    res = solve_lp(c, A, b, upper)
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0.0, 1.0), method="highs")
+    assert res.status == "optimal" and ref.status == 0
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+    assert np.all(A @ res.x <= 1e-9)
+    assert np.all((res.x >= -1e-12) & (res.x <= 1.0 + 1e-12))

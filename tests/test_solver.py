@@ -457,7 +457,7 @@ def test_window_rows_match_a_loop_over_donors_and_steps(width):
     for _ in range(40):
         s = random_instance(rng, max_steps=4, cell_budget=None)
         ce, ct = np.nonzero(rng.random((s.n_edges, s.horizon)) < 0.6)
-        rows, cols = _window_cells(s, ce, ct, width)
+        _, _, rows, cols = _window_cells(s, ce, ct, width)
         got = [sorted(cols[rows == i].tolist()) for i in np.unique(rows)]
         # Per donor, the non-empty window cell sets that no other window of
         # the donor strictly contains, one per run of equal sets.
@@ -719,7 +719,7 @@ def _dense_optimum(s, ce, ct, cost, ub, width, integral):
     """The same packing model, solved by the dense simplex or branch and bound."""
     if ce.size == 0:
         return 0.0
-    rows, cols = _window_cells(s, ce, ct, width)
+    _, _, rows, cols = _window_cells(s, ce, ct, width)
     A = np.zeros((rows[-1] + 1, ce.size))
     A[rows, cols] = 1.0
     b = np.ones(A.shape[0])

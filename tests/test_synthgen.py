@@ -282,6 +282,42 @@ def test_config_rejects_unknown_or_missing_keys():
         )
 
 
+def test_config_availability_block_refuses_unknown_keys():
+    base = {
+        "donor_count": 1,
+        "recipient_count": 1,
+        "population": {"uniform_disc": {"center": [0.0, 0.0], "radius_km": 1.0}},
+    }
+    with pytest.raises(ValueError, match=r"takes only .*, got \{'lo': 0.3, 'hihg': 0.7\}"):
+        config_from_dict({**base, "availability": {"lo": 0.3, "hihg": 0.7}})
+    with pytest.raises(ValueError, match="availability block takes only"):
+        config_from_dict({**base, "availability": 0.3})
+    with pytest.raises(ValueError, match=r"unknown config keys \['availability_low'\]"):
+        config_from_dict({**base, "availability_low": 0.3})
+    cfg = config_from_dict({**base, "availability": {"high": 0.7}})
+    defaults = disc_config()
+    assert cfg.availability_high == 0.7
+    assert cfg.availability_low == defaults.availability_low
+    assert cfg.mean_run_length == defaults.mean_run_length
+
+
+def test_grids_resolve_by_config_directory_then_bundled_never_the_working_directory(
+    tmp_path, monkeypatch
+):
+    want = load_bundled_config("riverton").population
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "riverton").write_text("not a grid\n")
+    (tmp_path / "riverton.csv").write_text("not a grid either\n")
+    np.testing.assert_array_equal(load_bundled_config("riverton").population, want)
+    sub = tmp_path / "configs"
+    sub.mkdir()
+    doc = {"donor_count": 4, "recipient_count": 3, "population": {"grid": "riverton"}}
+    (sub / "c.json").write_text(json.dumps(doc))
+    np.testing.assert_array_equal(load_config(sub / "c.json").population, want)
+    (sub / "riverton").write_text("lat,lon,weight\n40.0,-85.0,1.0\n")
+    assert load_config(sub / "c.json").population.tolist() == [[40.0, -85.0, 1.0]]
+
+
 def test_bundled_cities_are_present_and_generate():
     names = bundled_city_names()
     assert {"riverton", "lakeport", "hillmont", "baycrest", "city_small"} <= set(names)
