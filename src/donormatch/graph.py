@@ -13,6 +13,7 @@ numpy arrays use column ``t - 1``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -173,12 +174,15 @@ def _step_row(
 ) -> np.ndarray:
     """Expand one per-step spec to length T: a constant, a length-T list or a {t: value} map.
 
-    A map's keys are the steps 1..T, as ints or strings. The steps it leaves
-    out take ``default``; with no default, a step left out is an error.
+    A map's keys are the steps 1..T, as ints or strings of ints. The steps it
+    leaves out take ``default``; with no default, a step left out is an error.
     """
     if isinstance(spec, Mapping):
         row = np.full(horizon, np.nan if default is None else default)
         for key, val in spec.items():
+            integral = isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+            if not (integral or isinstance(key, str) and re.fullmatch(r"\s*[+-]?\d+\s*", key)):
+                raise ValueError(f"{what} step {key!r} is not an integer for {label}")
             if not 1 <= int(key) <= horizon:
                 raise ValueError(f"{what} step {key} outside 1..{horizon} for {label}")
             row[int(key) - 1] = float(val)
@@ -193,12 +197,11 @@ def _step_row(
     return arr
 
 
-def _known_ids(values: Mapping, recipients: Sequence[Recipient], what: str) -> Mapping:
-    """Return ``values``, a map keyed by recipient id, after refusing any key that is not one."""
-    unknown = set(values) - {v.id for v in recipients}
+def _refuse_unknown(keys, known, what: str) -> None:
+    """Raise ValueError "<what> [...]" naming the ``keys`` not in ``known``."""
+    unknown = set(keys) - set(known)
     if unknown:
-        raise ValueError(f"{what} given for unknown recipients {sorted(unknown)}")
-    return values
+        raise ValueError(f"{what} {sorted(map(str, unknown))}")
 
 
 def _normalization_array(
@@ -206,7 +209,8 @@ def _normalization_array(
 ) -> np.ndarray:
     """Scores in recipient order from an array (V,) or a map keyed by id (absent ids score 0)."""
     if isinstance(m, Mapping):
-        m = _known_ids(m, recipients, "normalization")
+        ids = [v.id for v in recipients]
+        _refuse_unknown(m, ids, "normalization given for unknown recipients")
         return np.array([float(m.get(v.id, 0.0)) for v in recipients])
     arr = np.asarray(m, dtype=float)
     if arr.shape != (len(recipients),):
@@ -270,7 +274,9 @@ def build_scenario(
         if P.shape != (V, T):
             raise ValueError(f"availability array has shape {P.shape}, want {(V, T)}")
     else:
-        avail_map = _known_ids(availability or {}, recipients, "availability")
+        avail_map = availability or {}
+        ids = [v.id for v in recipients]
+        _refuse_unknown(avail_map, ids, "availability given for unknown recipients")
         P = np.empty((V, T), dtype=float)
         for i, rec in enumerate(recipients):
             spec = avail_map.get(rec.id)
@@ -541,7 +547,16 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: Mapping) -> Scenario:
-    """Inverse of scenario_to_dict; tolerates the compact weight forms."""
+    """Inverse of scenario_to_dict; tolerates the compact weight forms.
+
+    Any key it does not read, at the top level or in a donor or recipient
+    entry, raises ValueError naming it.
+    """
+    top = "horizon rate_limit donors recipients edges weights availability normalization"
+    _refuse_unknown(doc, top.split(), "unknown scenario keys")
+    for what, known in (("donor", "id lat lon first_notify"), ("recipient", "id lat lon kind")):
+        for entry in doc[what + "s"]:
+            _refuse_unknown(entry, known.split(), f"unknown keys in {what} {entry['id']!r}:")
     donors = [
         Donor(
             id=str(d["id"]),

@@ -12,8 +12,9 @@ up. AdaptMatch executes a plan but falls back to the myopic mixture when
 the pre-match misses. One rule, ``_decide``, applies every kind to
 gathered cells, and one array kernel, ``_match_edges``, feeds it whole
 batches of trials: the scheduled cells at once in fixed-time mode, and
-step by step only the donors that are free in rate-limited mode. The
-simulator and ``estimate_beta`` share it.
+step by step only the donors that are free in rate-limited mode.
+``estimate_beta`` gives the rate-limited rounding its blocking
+correction in closed form, with no simulation.
 
 Every function takes the generator or uniforms it should draw from;
 nothing here seeds or splits streams. The simulator owns stream layout so
@@ -39,7 +40,7 @@ from .solver import (
     solve_nadapopt_lp,
     solve_ratelimit_lp,
 )
-from .windows import _induced_availability, _mass_by_donor_step, _prior_sum
+from .windows import _induced_availability, _mass_by_donor_step
 
 KINDS = ("rand", "max", "randmax", "nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
 _PLAN_KINDS = ("nadaplp", "nadapopt", "adaptmatch", "nadaplp_rate")
@@ -53,9 +54,6 @@ DRAW_KINDS = ("rand", "max", "randmax", "adaptmatch")
 # walk's per-step calls, few enough that the kernel's (cells, degree) work
 # arrays stay a few MB (48,000 cells x 11 edges x 8 bytes = 4.2 MB).
 CHUNK_CELLS = 16 * 3000
-
-# Fixed-point iterations of estimate_beta.
-BETA_ITERATIONS = 3
 
 # Slack allowed on a pre-match distribution's total mass before the plan
 # is rejected as invalid; covers LP feasibility noise, nothing more.
@@ -234,40 +232,24 @@ def estimate_beta(
     s: Scenario,
     gamma: float,
     alpha: float,
-    trials: int,
-    rng: np.random.Generator,
+    trials: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
     lp: Optional[LpSolution] = None,
 ) -> np.ndarray:
-    """Estimate beta_ut, the chance donor u is rate-limit-free at step t.
+    """beta_ut, the chance donor u is rate-limit-free at step t, in closed form.
 
-    Fixed-point simulation: starting from beta = 1, repeatedly build the
-    induced pre-match distribution, simulate ``trials`` runs of it, and
-    re-estimate availability from the empirical frequencies, for
-    BETA_ITERATIONS iterations. Estimates are clamped from below by the
-    union bound 1 - sum of alpha*x* over the donor's previous K - 1
-    steps, which the relaxation's packing rows keep at 1 - alpha or
-    better; in particular alpha = 1/(2D) keeps every beta at 1/2 or
-    better. beta_u1 is exactly 1. Returns the (U, T) array.
+    beta_ut = 1 - alpha * (u's x* mass over the K - 1 steps before t), so
+    beta_u1 = 1. It is exact: with it, a free donor matches at t with
+    probability alpha * sum_e x*_et, and two matches of one donor never share
+    a K-step window, so being blocked at t is a disjoint union over those
+    steps. The packing rows keep that mass at one or less, so alpha = 1/(2D)
+    keeps every beta at 1/2 or better. ``lp`` is solved here when None.
+    ``trials`` and ``rng`` are accepted and ignored: they fed the Monte Carlo
+    estimate this replaced, and callers may still pass them.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     if lp is None:
         lp = solve_ratelimit_lp(s, gamma)
-    xstar = np.clip(lp.x, 0.0, None)
-    floor = _induced_availability(s, alpha * xstar)
-
-    base = _over_availability(s, xstar) * alpha
-    beta = np.ones((s.n_donors, s.horizon))
-    for _ in range(BETA_ITERATIONS):
-        probs = base / np.maximum(beta[s.edge_donor], 1e-12)
-        probs = _scale_to_valid(s, probs)
-        plans = _draw_assignment(s, probs, rng.random((trials, s.n_donors, s.horizon)))
-        arrivals = rng.random((trials, s.n_recipients, s.horizon)) < s.availability
-        hit = _match_edges(s, MODE_RATE, "nadaplp_rate", 0.0, arrivals, plans, None) >= 0
-        blocked = _prior_sum(hit, s.rate_limit) > 0
-        beta = np.maximum((~blocked).sum(axis=0) / float(trials), floor)
-        beta[:, 0] = 1.0
-    return beta
+    return _induced_availability(s, alpha * np.clip(lp.x, 0.0, None))
 
 
 def nadaplp_rate_plan(
@@ -298,13 +280,6 @@ def _over_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     np.divide(x, p, out=out, where=p > 0.0)
     return out
-
-
-def _scale_to_valid(s: Scenario, probs: np.ndarray) -> np.ndarray:
-    """Scale any overfull per-(donor, step) distribution back to mass 1."""
-    mass = _mass_by_donor_step(s, probs)
-    scale = np.where(mass > 1.0, 1.0 / np.maximum(mass, 1e-12), 1.0)
-    return probs * scale[s.edge_donor]
 
 
 def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

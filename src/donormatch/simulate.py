@@ -4,10 +4,10 @@ Runs policies over the horizon through the decision kernel in
 ``policies`` and aggregates Monte Carlo statistics over trials.
 
 Randomness is laid out so that runs are reproducible and trials are
-independent of evaluation order. The master generator is consumed
-exactly twice per evaluation: once for the per-trial Philox keys, once
-for anything solved up front (the fixed realization, a beta estimate).
-Each trial then owns counter-separated streams derived from its key:
+independent of evaluation order. The master generator is drawn from at
+most twice per evaluation: once for the per-trial Philox keys, and once
+for the fixed realization when the caller gives none. Each trial then
+owns counter-separated streams derived from its key:
 
     plan draw          counter [0, 0, 0, 1]
     realization draw   counter [0, 0, 0, 2]
@@ -65,9 +65,6 @@ from .solver import LpSolution
 _CTR_PLAN = 1
 _CTR_REALIZATION = 2
 _CTR_DECIDE = 3
-
-# Simulated runs per fixed-point iteration of the beta estimate.
-BETA_ESTIMATE_TRIALS = 200
 
 
 @dataclass
@@ -218,8 +215,9 @@ def monte_carlo_evaluate(
     one given, or a single draw); ``"resampled"`` draws a fresh one per
     trial. Plan-based kinds solve their LP and compute its pre-match
     probabilities once here and redraw the plan each trial; pass ``lp``
-    (and the (U, T) ``beta`` for the rate-limited rounding kind) to reuse
-    existing solutions.
+    (and the (U, T) ``beta`` for the rate-limited rounding kind, which
+    otherwise is ``estimate_beta``'s closed form) to reuse existing
+    solutions.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -236,7 +234,7 @@ def monte_carlo_evaluate(
         if lp is None:
             lp = plan_relaxation(s, policy.kind, policy.gamma)
         if policy.kind == "nadaplp_rate" and beta is None:
-            beta = estimate_beta(s, policy.gamma, alpha, BETA_ESTIMATE_TRIALS, rng, lp=lp)
+            beta = estimate_beta(s, policy.gamma, alpha, lp=lp)
         probs = plan_probabilities(s, policy.kind, lp, alpha, beta)
 
     fixed = None

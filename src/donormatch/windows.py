@@ -3,9 +3,9 @@
 A donor is matched at most once per window of ``width`` steps, the
 steps [t - width + 1, t]: width 1 in fixed-time mode (one match per
 scheduled day), width K in rate-limited mode. The packing rows of both
-LP solvers (``_window_rows``: the windows no other window holds), the
-induced donor availability and the blocking estimate in
-``policies.estimate_beta`` all read their windows from here, as
+LP solvers (``_window_rows``: the windows no other window holds) and the
+induced donor availability, which is also the exact blocking estimate
+``policies.estimate_beta`` returns, all read their windows from here, as
 differences of one padded cumulative sum over the steps.
 """
 

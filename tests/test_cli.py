@@ -109,8 +109,15 @@ def test_a_subcommand_refuses_the_flags_it_does_not_read(argv, tiny, tmp_path, c
 
 @pytest.mark.parametrize(
     "doc",
-    [{}, {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": None}],
-    ids=["missing-keys", "null-horizon"],
+    [
+        {},
+        {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": None},
+        {"donors": [{"id": "u", "first_notfy": 2}], "recipients": [], "edges": [],
+         "weights": [], "horizon": 1, "rate_limit": 1},
+        {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": 1,
+         "rate_limit": 1, "normalisation": {}},
+    ],
+    ids=["missing-keys", "null-horizon", "unknown-donor-key", "unknown-top-level-key"],
 )
 @pytest.mark.parametrize(
     "command", [["run", "rand"], ["sweep"], ["oracle"]], ids=["run", "sweep", "oracle"]

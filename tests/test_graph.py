@@ -17,6 +17,8 @@ from donormatch.graph import (
     load_scenario,
     outcome_from_matches,
     save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     validate_outcome,
     validate_scenario,
     weight_total,
@@ -215,6 +217,37 @@ def test_scenario_json_roundtrip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def _scenario_doc():
+    return scenario_to_dict(_build(normalization={"A": 1.0, "B": 0.5}))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda d: d["donors"][0].update(first_notfy=2),
+            "unknown keys in donor 'u': ['first_notfy']",
+        ),
+        (
+            lambda d: d["recipients"][1].update(knd="static"),
+            "unknown keys in recipient 'B': ['knd']",
+        ),
+        (
+            lambda d: d.update(normalisation=d.pop("normalization")),
+            "unknown scenario keys ['normalisation']",
+        ),
+    ],
+    ids=["donor-key", "recipient-key", "top-level-key"],
+)
+def test_scenario_from_dict_refuses_keys_it_does_not_read(change, message):
+    doc = _scenario_doc()
+    assert scenario_to_dict(scenario_from_dict(doc)) == doc
+    change(doc)
+    with pytest.raises(ValueError) as err:
+        scenario_from_dict(doc)
+    assert message in str(err.value)
+
+
 def test_weight_dict_form_requires_every_step():
     with pytest.raises(ValueError, match="missing weight"):
         build_scenario(
@@ -330,6 +363,12 @@ def _build(**changes):
         ({"availability": {"C": 0.5}}, "availability given for unknown recipients ['C']"),
         ({"availability": {"B": [0.5]}}, "availability list for recipient B has length 1"),
         ({"availability": {"B": {"3": 0.5}}}, "availability step 3 outside 1..2"),
+        (
+            {"weights": [{1.5: 0.2, 2: 0.3}, 0.5]},
+            "weight step 1.5 is not an integer for edge ('u', 'A')",
+        ),
+        ({"availability": {"B": {"1.5": 0.5}}}, "availability step '1.5' is not an integer"),
+        ({"weights": [{True: 0.2, 2: 0.3}, 0.5]}, "weight step True is not an integer"),
         ({"normalization": np.ones(3)}, "normalization array has shape (3,), want (2,)"),
         (
             {"normalization": {"A": 1.0, "nobody": 2.0}},
@@ -339,7 +378,8 @@ def _build(**changes):
     ids=[
         "weights-shape", "weight-count", "weight-length", "weight-step",
         "availability-shape", "availability-id", "availability-length",
-        "availability-step", "normalization-shape", "normalization-id",
+        "availability-step", "weight-step-fraction", "availability-step-fraction",
+        "weight-step-bool", "normalization-shape", "normalization-id",
     ],
 )
 def test_build_scenario_refuses_each_malformed_input(changes, message):

@@ -27,9 +27,9 @@ from donormatch.oracle import (
     brute_force_policy_expectation,
     find_proportional_allocation,
 )
-from donormatch.policies import PolicySpec, estimate_beta
+from donormatch.policies import PolicySpec, default_alpha, estimate_beta
 from donormatch.simulate import monte_carlo_evaluate, run_policy
-from donormatch.solver import solve_offline_opt, solve_ratelimit_opt
+from donormatch.solver import solve_offline_opt, solve_ratelimit_lp, solve_ratelimit_opt
 
 
 def square_instance(normalization=(1.0, 1.0)):
@@ -287,15 +287,63 @@ def test_expectations_match_monte_carlo_for_the_rate_rounding_kind():
     s = two_step_rate_instance(w1=0.6, w2=1.0)
     r = all_ones_realization(s)
     spec = PolicySpec("nadaplp_rate", gamma=0.0, alpha=0.4, mode=MODE_RATE)
-    beta = estimate_beta(s, 0.0, 0.4, 2_000, np.random.default_rng(5))
+    beta = estimate_beta(s, 0.0, 0.4)
     exact = brute_force_policy_expectation(s, spec, r, beta=beta)
     assert_close_to_monte_carlo(s, spec, r, exact, beta=beta)
 
 
+def dynamic_rate_instance(rng, K):
+    """One or two donors, every recipient dynamic, at most 6 recipient-steps."""
+    T = int(rng.integers(max(2, K), 5))
+    V = 1 if T > 3 else int(rng.integers(1, 3))
+    U = int(rng.integers(1, 3))
+    edges = [(f"u{i}", f"v{j}") for i in range(U) for j in range(V) if rng.random() < 0.7]
+    edges += [(f"u{i}", "v0") for i in range(U) if not any(u == f"u{i}" for u, _ in edges)]
+    return build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(U)],
+        recipients=[Recipient(f"v{j}", 0.0, 0.0, kind="dynamic") for j in range(V)],
+        edges=edges,
+        weights=[rng.uniform(0.05, 1.0, size=T) for _ in edges],
+        availability={f"v{j}": rng.uniform(0.2, 1.0, size=T) for j in range(V)},
+        horizon=T,
+        rate_limit=K,
+        normalization={f"v{j}": float(rng.uniform(0.2, 1.5)) for j in range(V)},
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_rate_rounding_with_the_closed_form_beta_meets_its_plan_exactly(K):
+    # With beta from estimate_beta, a donor matches e at t with probability
+    # exactly alpha * x*_et, so E[Y_v] over the policy's draws and every
+    # realization is alpha * sum x* w over v's cells.
+    rng = np.random.default_rng(40 + K)
+    for _ in range(8):
+        s = dynamic_rate_instance(rng, K)
+        alpha = default_alpha(s, MODE_RATE)
+        for gamma in (0.0, 0.5):
+            lp = solve_ratelimit_lp(s, gamma)
+            beta = estimate_beta(s, gamma, alpha, lp=lp)
+            if K == 1:
+                assert (beta == 1.0).all()
+            spec = PolicySpec("nadaplp_rate", gamma=gamma, mode=MODE_RATE)
+            got = np.zeros(s.n_recipients)
+            cells = s.n_recipients * s.horizon
+            for bits in range(1 << cells):
+                up = (bits >> np.arange(cells)).reshape(s.availability.shape) & 1
+                weight = np.where(up == 1, s.availability, 1.0 - s.availability).prod()
+                exact = brute_force_policy_expectation(
+                    s, spec, DemandRealization(up.astype(np.int8)), beta=beta
+                )
+                got += weight * np.array([exact[v.id] for v in s.recipients])
+            per_edge = alpha * (np.clip(lp.x, 0.0, None) * s.weights).sum(axis=1)
+            want = np.bincount(s.edge_recipient, per_edge, minlength=s.n_recipients)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_a_plan_distribution_with_mass_over_one_is_refused():
     # x* = 0.5 = p at every step; at alpha = 1 the donor pre-matches with
-    # probability 1 at step 1, so beta_2 is about 1/2 and step 2's mass
-    # about 2. The simulator refuses that plan, and so must the oracle.
+    # probability 1 at step 1, so beta_2 is 1/2 and step 2's mass 2. The
+    # simulator refuses that plan, and so must the oracle.
     s = build_scenario(
         donors=[Donor("u", 0.0, 0.0)],
         recipients=[Recipient("b", 0.0, 0.0, kind="dynamic")],
@@ -307,7 +355,7 @@ def test_a_plan_distribution_with_mass_over_one_is_refused():
     )
     r = all_ones_realization(s)
     spec = PolicySpec("nadaplp_rate", gamma=0.0, alpha=1.0, mode=MODE_RATE)
-    beta = estimate_beta(s, 0.0, 1.0, 200, np.random.default_rng(5))
+    beta = estimate_beta(s, 0.0, 1.0)
     for evaluate in (
         lambda: brute_force_policy_expectation(s, spec, r, beta=beta),
         lambda: monte_carlo_evaluate(

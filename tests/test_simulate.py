@@ -247,6 +247,14 @@ def test_deterministic_policy_has_zero_standard_error():
     assert agg.match_counts[s.edges.index(("u", "B")), 0] == 50
 
 
+def test_a_single_trial_reports_zero_standard_errors():
+    s = two_recipient_instance()
+    agg = monte_carlo_evaluate(s, PolicySpec("rand"), 1, rng=np.random.default_rng(6))
+    assert agg.trial_count == 1 and agg.mean_total_weight > 0
+    assert agg.std_err_total == 0.0
+    assert agg.std_err_recipient == {"A": 0.0, "B": 0.0}
+
+
 def test_identical_seeds_reproduce_every_trial():
     rng = np.random.default_rng(7)
     s = random_instance(rng)
@@ -349,7 +357,7 @@ def test_each_trials_plan_is_the_samplers_draw_from_its_plan_stream():
             solve_fixedtime_lp(s, 0.5), solve_nadapopt_lp(s, 0.5), solve_ratelimit_lp(s, 0.5)
         )
         alpha_fixed, alpha_rate = default_alpha(s, MODE_FIXED), default_alpha(s, MODE_RATE)
-        beta = estimate_beta(s, 0.5, alpha_rate, 50, rng, lp=rate)
+        beta = estimate_beta(s, 0.5, alpha_rate, lp=rate)
         cases = [
             (
                 PolicySpec("nadaplp", gamma=0.5),
@@ -403,7 +411,7 @@ def test_rate_trials_match_run_policy_where_free_donors_go_unmatched(monkeypatch
     rng = np.random.default_rng(33)
     lp = solve_ratelimit_lp(s, 0.5)
     alpha = default_alpha(s, MODE_RATE)
-    beta = estimate_beta(s, 0.5, alpha, 50, rng, lp=lp)
+    beta = estimate_beta(s, 0.5, alpha, lp=lp)
     trials = 2 * 16 + 5
     for policy in (
         PolicySpec("rand", mode=MODE_RATE),
