@@ -150,14 +150,14 @@ def cmd_run(args) -> int:
         return 1
 
     os.makedirs(args.out_dir, exist_ok=True)
-    ids = [v.id for v in s.recipients]
-    trial_rows = [
-        [str(i + 1), policy.kind, _fmt(policy.gamma), agg.totals[i]]
-        + list(agg.recipient_totals[i])
-        for i in range(agg.trial_count)
-    ]
+    header = ["trial", "policy", "gamma", "total_weight"] + [v.id for v in s.recipients]
     trials_path = os.path.join(args.out_dir, "trials.csv")
-    _write_csv(trials_path, ["trial", "policy", "gamma", "total_weight"] + ids, trial_rows)
+    # One %-format per row: only the header's recipient ids can need quoting.
+    row = f"%d,{policy.kind},{_fmt(policy.gamma)}" + ",%.9g" * len(header[3:]) + "\n"
+    table = np.column_stack([agg.totals, agg.recipient_totals]).tolist()
+    with open(trials_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(row % (i, *r) for i, r in enumerate(table, 1))
 
     m = _norm_dict(s)
     scored, unscored = scored_recipients(agg.mean_recipient_weight, m)

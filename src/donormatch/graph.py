@@ -413,15 +413,16 @@ def donor_max_degree(s: Scenario) -> int:
 def matched_weights(s: Scenario, matched: np.ndarray) -> np.ndarray:
     """Y_v of matched edge indices: shape (..., U, T) to (..., V).
 
-    Within each leading index the weights are added in (step, donor)
-    order, so every caller gets the same sums to the last bit.
+    One ``np.bincount`` adds the weights from zero in (leading index, step,
+    donor) order, so every caller gets the same sums to the last bit.
     """
     matched = np.asarray(matched)
-    out = np.zeros(matched.shape[:-2] + (s.n_recipients,))
+    shape = matched.shape[:-2] + (s.n_recipients,)
     *lead, tau, ui = np.nonzero(np.swapaxes(matched, -1, -2) >= 0)
     e = matched[(*lead, ui, tau)]
-    np.add.at(out, (*lead, s.edge_recipient[e]), s.weights[e, tau])
-    return out
+    at = np.ravel_multi_index((*lead, s.edge_recipient[e]), shape)
+    out = np.bincount(at, s.weights[e, tau], int(np.prod(shape)))
+    return out.reshape(shape).astype(float, copy=False)  # int when nothing matched
 
 
 def outcome_from_matches(s: Scenario, matched: np.ndarray) -> MatchingOutcome:

@@ -21,7 +21,7 @@ from .graph import (
     Edge,
     Scenario,
 )
-from .policies import VALIDITY_TOL, PolicySpec, _over_availability, default_alpha
+from .policies import VALIDITY_TOL, PolicySpec, _over_availability, default_alpha, estimate_beta
 from .solver import (
     _check_inputs,
     solve_fixedtime_lp,
@@ -202,9 +202,9 @@ def brute_force_policy_expectation(
     The expectation runs over the policy's own randomness: decision draws
     for the myopic kinds, the plan draw for plan-based kinds when no
     concrete plan is given. Pass ``plan``, a (U, T) array of pre-matched
-    edge indices, to condition on one drawn plan instead; ``beta``, the
-    (U, T) free-probability estimate, is required for the rate-limited
-    rounding kind in distribution mode.
+    edge indices, to condition on one drawn plan instead. The rate-limited
+    rounding kind takes ``beta``, the (U, T) free probabilities, from
+    ``estimate_beta`` on the relaxation it solves unless one is given.
     """
     if s.n_donors * s.horizon * max(s.rate_limit, 1) > MAX_STATES:
         raise EnumerationError(
@@ -343,9 +343,7 @@ def _plan_distribution(
     by more than VALIDITY_TOL: no plan can be drawn from it, and the walk
     over remaining-block states would take a negative stay-free chance.
     """
-    alpha = policy.alpha
-    if alpha is None:
-        alpha = default_alpha(s, policy.mode)
+    alpha = default_alpha(s, policy.mode) if policy.alpha is None else policy.alpha
     if policy.kind == "nadaplp":
         lp = solve_fixedtime_lp(s, policy.gamma)
         pi = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
@@ -353,12 +351,9 @@ def _plan_distribution(
         lp = solve_nadapopt_lp(s, policy.gamma)
         pi = np.clip(lp.x, 0.0, None)
     elif policy.kind == "nadaplp_rate":
-        if beta is None:
-            raise ValueError(
-                "the rate-limited rounding kind needs the beta estimate in "
-                "distribution mode"
-            )
         lp = solve_ratelimit_lp(s, policy.gamma)
+        if beta is None:
+            beta = estimate_beta(s, policy.gamma, alpha, lp=lp)
         probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
         pi = probs / np.maximum(beta[s.edge_donor], 1e-12)
     else:

@@ -289,15 +289,15 @@ def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np
     with any leading trial axes. A cell takes the first of its donor's
     edges whose running probability total exceeds the cell's number, or
     -1 when none does, so two plans drawn from the same uniforms land on
-    the same assignments wherever their probabilities agree.
+    the same assignments wherever their probabilities agree. The totals
+    run slot first, (D, U, T), and never fall, so that edge's slot is the
+    count of totals at or below the number. Table entries of -1 read an
+    appended zero row of ``probs``; a count of D reads the table's -1 row.
     """
-    table = s.donor_edge_table
-    if table.shape[1] == 0:
-        return np.full(uniforms.shape, -1, dtype=np.int64)
-    cum = np.cumsum(np.where(table[..., None] >= 0, probs[table], 0.0), axis=1)
-    hit = uniforms[..., None, :] < cum
-    edge = table[np.arange(s.n_donors)[:, None], np.argmax(hit, axis=-2)]
-    return np.where(hit.any(axis=-2), edge, -1)
+    table = np.pad(s.donor_edge_table.T, ((0, 1), (0, 0)), constant_values=-1)
+    cum = np.cumsum(np.pad(probs, ((0, 1), (0, 0)))[table], axis=0)
+    slot = (uniforms[..., None, :, :] >= cum[:-1]).sum(axis=-3)
+    return table[slot, np.arange(s.n_donors)[:, None]]
 
 
 def _match_edges(
@@ -317,31 +317,34 @@ def _match_edges(
     A deciding cell (u, t) reads its own entries alone, by the rule in
     ``_decide``.
 
-    Fixed-time mode decides the scheduled cells, all at once. Rate-limited
-    mode walks the steps in order and at each step decides only the
-    (trial, donor) pairs that are free; a match blocks the donor for the
-    next K - 1 steps. Either way a trial's result does not depend on the
-    other trials in the batch.
+    Fixed-time mode decides the scheduled cells at once; rate-limited mode
+    walks the steps and decides only the free (trial, donor) pairs, and a
+    match blocks the donor for the next K - 1 steps. A trial's result never
+    depends on the others in the batch. Per-edge arrays are gathered slot
+    first by ``take``, which, unlike a fancy index, keeps (n, D, cells) and
+    (D, pairs) C-contiguous, so ``_decide`` reduces across contiguous cells.
     """
     n, U, T = available.shape[0], s.n_donors, s.horizon
     matched = np.full((n, U, T), -1, dtype=np.int64)
     if s.n_edges == 0:
         return matched
     coin = {"rand": 1.0, "max": 0.0}.get(kind, gamma)
-    table = s.donor_edge_table
+    table = s.donor_edge_table.T
     edge = np.maximum(table, 0)
     rec, ok = s.edge_recipient[edge], table >= 0
     planned = up = draws = open_ = w = None
     if mode == MODE_FIXED:
-        cu, ct = np.nonzero(s.donor_schedule)
+        cells = np.flatnonzero(s.donor_schedule)
+        cu, ct = np.divmod(cells, T)
+        table, edge, rec, ok = (a.take(cu, 1) for a in (table, edge, rec, ok))
         if kind in _PLAN_KINDS:
-            planned = assignment[:, cu, ct]
+            planned = assignment.reshape(n, -1).take(cells, 1)
             up = available[np.arange(n)[:, None], s.edge_recipient[planned], ct]
         if kind in DRAW_KINDS:
-            draws = uniforms[:, cu, ct]
-            open_ = available[:, rec[cu], ct[:, None]] & ok[cu]
-            w = s.weights[edge[cu], ct[:, None]]
-        matched[:, cu, ct] = _decide(kind, coin, planned, up, table[cu], open_, w, draws)
+            draws = uniforms.reshape(n, -1, 2).take(cells, 1)
+            open_ = available.reshape(n, -1).take(rec * T + ct, 1) & ok
+            w = s.weights[edge, ct]
+        matched.reshape(n, -1)[:, cells] = _decide(kind, coin, planned, up, table, open_, w, draws)
         return matched
     next_free = np.zeros((n, U), dtype=np.int64)
     for tau in range(T):
@@ -351,9 +354,9 @@ def _match_edges(
             up = available[i, s.edge_recipient[planned], tau]
         if kind in DRAW_KINDS:
             draws = uniforms[i, u, tau]
-            open_ = available[i[:, None], rec[u], tau] & ok[u]
-            w = s.weights[edge[u], tau]
-        step = _decide(kind, coin, planned, up, table[u], open_, w, draws)
+            open_ = available[i, rec.take(u, 1), tau] & ok.take(u, 1)
+            w = s.weights[edge.take(u, 1), tau]
+        step = _decide(kind, coin, planned, up, table.take(u, 1), open_, w, draws)
         matched[i, u, tau] = step
         hit = step >= 0
         next_free[i[hit], u[hit]] = tau + s.rate_limit
@@ -363,19 +366,20 @@ def _match_edges(
 def _decide(kind, coin, planned, up, table, open_, w, draws) -> np.ndarray:
     """The decision rule on gathered cells: matched edge per cell, -1 for none.
 
-    The cells share a leading shape; ``table`` holds each cell's donor row
-    of ``donor_edge_table`` (cells, D) and may lack the leading trial axis.
-    ``planned`` and ``up`` are a plan kind's pre-matched edge and whether
-    its recipient is up; ``open_`` and ``w`` are, per table entry, whether
-    the edge is real and its recipient up, and its weight at the cell's
-    step; ``draws`` holds the cell's two uniforms.
+    The cells share a trailing shape; ``table`` (D, cells) holds each
+    cell's column of the transposed ``donor_edge_table`` and may lack the
+    leading trial axis. ``planned`` and ``up`` are a plan kind's pre-matched
+    edge and whether its recipient is up; ``open_`` and ``w`` hold, per slot
+    (axis -2), whether the edge is real and its recipient up, and its
+    weight at the cell's step; ``draws`` holds the cell's two uniforms.
 
     - a plan kind takes the pre-matched edge when its recipient is up;
     - the myopic rule flips ``draws[.., 0] < coin``, where the coin is 1
       for rand, 0 for max and gamma otherwise. Heads, every open edge is
       a candidate; tails, the open edges of largest weight. Of the m
-      candidates in edge order it takes number
-      min(floor(draws[.., 1] * m), m - 1);
+      candidates in edge order it takes number k = min(floor(draws[.., 1]
+      * m), m - 1), whose slot is the count of slots whose running
+      candidate count is at most k;
     - adaptmatch takes the pre-matched edge when it lands, else the
       myopic pick.
     """
@@ -384,11 +388,13 @@ def _decide(kind, coin, planned, up, table, open_, w, draws) -> np.ndarray:
         choice = np.where((planned >= 0) & up, planned, -1)
     if kind in DRAW_KINDS:
         w = np.where(open_, w, -np.inf)
-        heaviest = open_ & (w == w.max(axis=-1, keepdims=True))
-        cand = np.where((draws[..., 0] < coin)[..., None], open_, heaviest)
-        count = cand.sum(axis=-1)
+        cand = open_ & ((w == w.max(axis=-2, keepdims=True)) | (draws[..., None, :, 0] < coin))
+        count = cand.sum(axis=-2)
         k = np.minimum((draws[..., 1] * count).astype(np.int64), count - 1)
-        slot = np.argmax(np.cumsum(cand, axis=-1) > k[..., None], axis=-1)
-        pick = np.where(count > 0, table[np.arange(table.shape[0]), slot], -1)
+        run = slot = 0
+        for row in np.moveaxis(cand, -2, 0):
+            run = run + row
+            slot = slot + (run <= k)
+        pick = np.where(count > 0, table[slot, np.arange(table.shape[-1])], -1)
         choice = np.where(choice >= 0, choice, pick)
     return choice

@@ -242,16 +242,14 @@ def monte_carlo_evaluate(
         r = realization if realization is not None else draw_realization(s, rng)
         fixed = np.asarray(r.available) != 0
 
-    totals = np.zeros(trials)
     recip = np.zeros((trials, s.n_recipients))
-    match_counts = np.zeros((s.n_edges, s.horizon))
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
-    U, V, T = s.n_donors, s.n_recipients, s.horizon
+    U, V, T, E = s.n_donors, s.n_recipients, s.horizon, s.n_edges
+    match_counts = np.zeros((E, T))
     per_chunk = max(1, CHUNK_CELLS // max(U * T, 1))
     for lo in range(0, trials, per_chunk):
         chunk = keys[lo : lo + per_chunk]
-        rows = slice(lo, lo + len(chunk))
         if fixed is None:
             available = _draws(chunk, _CTR_REALIZATION, (V, T)) < s.availability
         else:
@@ -264,16 +262,16 @@ def monte_carlo_evaluate(
         matched = _match_edges(
             s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms
         )
-        recip[rows] = matched_weights(s, matched)
-        totals[rows] = weight_total(recip[rows])
-        hit = np.nonzero(matched >= 0)
-        np.add.at(match_counts, (matched[hit], hit[2]), 1.0)
+        recip[lo : lo + len(chunk)] = matched_weights(s, matched)
+        at = (matched * T + np.arange(T))[matched >= 0]
+        match_counts += np.bincount(at, None, E * T).reshape(E, T)
         if kept is not None:
             kept += [
                 TrialResult(outcome_from_matches(s, m), lo + j, policy)
                 for j, m in enumerate(matched)
             ]
 
+    totals = weight_total(recip)
     mean_recip = recip.mean(axis=0)
     se_recip = _std_err(recip)
     return AggregateResult(

@@ -22,7 +22,7 @@ from donormatch.graph import (
     save_scenario,
     validate_scenario,
 )
-from donormatch.policies import CHUNK_CELLS, PolicySpec
+from donormatch.policies import CHUNK_CELLS, PolicySpec, parse_policy
 from donormatch.simulate import monte_carlo_evaluate
 from donormatch.synthgen import generate_city, load_bundled_config
 
@@ -166,6 +166,53 @@ def test_run_reproduces_the_in_memory_aggregates(tiny, tmp_path):
     assert float(agg_rows[0]["mean_total_weight"]) == pytest.approx(
         expected.mean_total_weight, rel=1e-8
     )
+
+
+def csv_writer_trials(path, policy, agg, ids):
+    """trials.csv as a csv.writer with %.9g per number writes it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["trial", "policy", "gamma", "total_weight"] + ids)
+        for i in range(agg.trial_count):
+            numbers = [agg.totals[i], *agg.recipient_totals[i]]
+            writer.writerow(
+                [str(i + 1), policy.kind, "%.9g" % policy.gamma] + ["%.9g" % x for x in numbers]
+            )
+
+
+@pytest.mark.parametrize("policy", ["rand", "randmax:0.3"])
+def test_trials_csv_is_what_csv_writer_writes(policy, tmp_path):
+    # A recipient id holding a comma, which the header must quote; totals of
+    # 1e-10 ("tiny") and 0 ("idle" is never up).
+    s = build_scenario(
+        donors=[Donor("u0", 0.0, 0.0), Donor("u1", 0.0, 0.0)],
+        recipients=[
+            Recipient("v,1", 0.0, 0.0),
+            Recipient("tiny", 0.0, 0.0),
+            Recipient("idle", 0.0, 0.0, kind="dynamic"),
+        ],
+        edges=[("u0", "v,1"), ("u0", "idle"), ("u1", "tiny"), ("u1", "v,1")],
+        weights=[[0.7, 0.3], [1.0, 1.0], [1e-10, 0.0], [0.123456789123, 0.25]],
+        availability={"idle": 0.0},
+        horizon=2,
+        rate_limit=1,
+        normalization={"v,1": 1.0, "tiny": 1.0, "idle": 1.0},
+    )
+    path = tmp_path / "s.json"
+    save_scenario(s, path)
+    out = tmp_path / "r"
+    assert main(["run", str(path), policy, "--trials", "9", "--seed", "2",
+                 "--out-dir", str(out)]) == 0
+    spec = parse_policy(policy)
+    agg = monte_carlo_evaluate(
+        s, spec, trials=9, realization_mode="resampled", rng=np.random.default_rng([2, 1])
+    )
+    csv_writer_trials(tmp_path / "want.csv", spec, agg, ["v,1", "tiny", "idle"])
+    got = (out / "trials.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.startswith(b'trial,policy,gamma,total_weight,"v,1",tiny,idle\n')
+    rows = [line.split(b",") for line in got.splitlines()[1:]]
+    assert {r[-1] for r in rows} == {b"0"} and b"1e-10" in {r[-2] for r in rows}
 
 
 def test_run_tags_policy_and_gamma(tiny, tmp_path):

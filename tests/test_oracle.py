@@ -206,15 +206,6 @@ def test_rate_walk_on_a_concrete_plan_matches_the_simulator():
     np.testing.assert_allclose(sim.recipient_weight, [got["A"], got["B"]], rtol=0, atol=1e-12)
 
 
-def test_rate_distribution_mode_requires_the_availability_estimate():
-    s = two_step_rate_instance()
-    r = all_ones_realization(s)
-    with pytest.raises(ValueError, match="beta estimate"):
-        brute_force_policy_expectation(
-            s, PolicySpec("nadaplp_rate", mode=MODE_RATE), r
-        )
-
-
 def assert_close_to_monte_carlo(s, policy, r, exact, trials=4_000, seed=3, beta=None):
     agg = monte_carlo_evaluate(
         s,
@@ -338,6 +329,24 @@ def test_rate_rounding_with_the_closed_form_beta_meets_its_plan_exactly(K):
             per_edge = alpha * (np.clip(lp.x, 0.0, None) * s.weights).sum(axis=1)
             want = np.bincount(s.edge_recipient, per_edge, minlength=s.n_recipients)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_rate_distribution_mode_takes_beta_from_the_relaxation_it_solves():
+    # Without beta the oracle takes estimate_beta of its own relaxation, as
+    # monte_carlo_evaluate does. With every recipient up a beta below one
+    # moves the answer, so a beta of all ones must give another one.
+    rng = np.random.default_rng(14)
+    for K in (2, 3):
+        for _ in range(4):
+            s = dynamic_rate_instance(rng, K)
+            r = all_ones_realization(s)
+            policy = PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE)
+            beta = estimate_beta(s, 0.5, default_alpha(s, MODE_RATE))
+            got = brute_force_policy_expectation(s, policy, r)
+            want = brute_force_policy_expectation(s, policy, r, beta=beta)
+            assert got == pytest.approx(want, rel=0, abs=1e-15)
+            ones = np.ones_like(beta)
+            assert brute_force_policy_expectation(s, policy, r, beta=ones) != got
 
 
 def test_a_plan_distribution_with_mass_over_one_is_refused():

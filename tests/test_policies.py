@@ -24,6 +24,7 @@ from donormatch.graph import (
 )
 from donormatch.policies import (
     PolicySpec,
+    _draw_assignment,
     estimate_beta,
     nadaplp_plan,
     nadaplp_rate_plan,
@@ -229,6 +230,69 @@ def test_plan_ignores_mass_on_impossible_cells():
     rng = np.random.default_rng(5)
     for _ in range(20):
         assert (nadaplp_plan(s, 0.0, 1.0, rng, lp=lp) == -1).all()
+
+
+def reference_draw(s, probs, uniforms):
+    """The categorical draw walked cell by cell: the first edge whose running
+    total exceeds the cell's number, else -1."""
+    out = np.full(uniforms.shape, -1, dtype=np.int64)
+    for cell in np.ndindex(uniforms.shape):
+        u, t = cell[-2:]
+        total = 0.0
+        for e in s.donor_edges[u]:
+            total = total + probs[e, t]
+            if uniforms[cell] < total:
+                out[cell] = e
+                break
+    return out
+
+
+def test_a_batched_plan_draw_is_the_cell_by_cell_categorical_walk():
+    # u0's first edge has probability 0 at every step, u1's mass stays below
+    # one, u2 has no edges. Dyadic probabilities make the running totals
+    # exact, so numbers placed on them test the boundary: a number equal to
+    # a total moves past that edge, and 0 never takes a zero-probability one.
+    T, n = 3, 40
+    s = build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(3)],
+        recipients=[Recipient(f"v{j}", 0.0, 0.0) for j in range(3)],
+        edges=[("u0", "v0"), ("u0", "v1"), ("u0", "v2"), ("u1", "v0"), ("u1", "v2")],
+        weights=np.ones((5, T)),
+        availability=None,
+        horizon=T,
+        rate_limit=1,
+    )
+    probs = np.array(
+        [[0.0] * T, [0.25, 0.5, 0.125], [0.75, 0.5, 0.875], [0.5, 0.25, 0.0], [0.25, 0.0, 0.375]]
+    )
+    rng = np.random.default_rng(17)
+    uniforms = rng.random((n, 3, T))
+    uniforms[0, :, 0] = [0.0, 0.0, 0.0]
+    uniforms[1, :, 0] = [0.25, 0.5, 0.25]
+    uniforms[2, :, 1] = [0.5, 0.25, 0.5]
+    uniforms[3, :, 2] = [0.125, 0.375, 0.125]
+    uniforms[4, :, :] = np.nextafter(1.0, 0.0)
+    got = _draw_assignment(s, probs, uniforms)
+    want = reference_draw(s, probs, uniforms)
+    assert np.array_equal(got, want)
+    assert got[0, :, 0].tolist() == [1, 3, -1]
+    assert got[1, :, 0].tolist() == [2, 4, -1]
+    assert got[2, :, 1].tolist() == [2, -1, -1]
+    assert got[3, :, 2].tolist() == [2, -1, -1]
+    assert (got[:, 1] == -1).any() and (got[:, 2] == -1).all() and (got[:, 0] >= 1).all()
+    assert np.array_equal(_draw_assignment(s, probs, uniforms[5]), want[5])
+    bare = build_scenario(
+        donors=[Donor("u", 0.0, 0.0)],
+        recipients=[Recipient("v", 0.0, 0.0)],
+        edges=[],
+        weights=np.zeros((0, T)),
+        availability=None,
+        horizon=T,
+        rate_limit=1,
+    )
+    assert bare.donor_edge_table.shape == (1, 0)
+    empty = _draw_assignment(bare, np.zeros((0, T)), rng.random((n, 1, T)))
+    assert empty.shape == (n, 1, T) and (empty == -1).all()
 
 
 def test_optimal_nonadaptive_plan_splits_evenly_at_full_fairness():

@@ -20,7 +20,9 @@ from donormatch.graph import (
     Donor,
     Recipient,
     build_scenario,
+    matched_weights,
     validate_outcome,
+    weight_total,
     with_normalization,
 )
 from donormatch import simulate
@@ -172,17 +174,20 @@ def test_run_policy_matches_the_cell_by_cell_rules():
                 assert np.array_equal(got.outcome.matched, want), (trial, mode, kind)
 
 
-@pytest.mark.parametrize("K", [1, 2, 9])
-def test_a_rate_batch_matches_the_cell_by_cell_rules_in_every_trial(K):
-    # One kernel call holds 24 different trials, so a (trial, donor) pair
-    # mixed up in the step walk shows. u3 has no edges, v3 is never up,
-    # weights on {0.5, 1} tie often, plans leave about a third of their
-    # cells at -1; K = 9 exceeds the horizon of 6.
+def batch_instance(K):
+    """24 trials' draws on one scenario, for checking one kernel call per batch.
+
+    One kernel call holds 24 different trials, so a trial row or a (trial,
+    donor) pair mixed up in the gather or the step walk shows. u3 has no
+    edges, v3 is never up, weights on {0.5, 1} tie often, plans leave about
+    a third of their cells at -1; K = 9 exceeds the horizon of 6. Donors
+    start on day 1 or 2, so fixed-time schedules differ between donors.
+    """
     rng = np.random.default_rng(30 + K)
     U, V, T, n = 4, 4, 6, 24
     edges = [(f"u{i}", f"v{j}") for i in range(U - 1) for j in range(V) if (i + j) % V != 3]
     s = build_scenario(
-        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(U)],
+        donors=[Donor(f"u{i}", 0.0, 0.0, first_notify=1 + i % 2) for i in range(U)],
         recipients=[Recipient(f"v{j}", 0.0, 0.0) for j in range(V)],
         edges=edges,
         weights=rng.integers(1, 3, size=(len(edges), T)) / 2.0,
@@ -199,15 +204,32 @@ def test_a_rate_batch_matches_the_cell_by_cell_rules_in_every_trial(K):
         if eu.size:
             pick = rng.choice(eu, size=(n, T))
             plans[:, u] = np.where(rng.random((n, T)) < 0.65, pick, -1)
-    for kind in ("rand", "max", "randmax", "nadaplp_rate"):
-        spec = PolicySpec(kind, gamma=0.4, mode=MODE_RATE)
+    return s, avail, uniforms, plans
+
+
+def assert_batch_matches_the_cell_by_cell_rules(K, mode, kinds):
+    s, avail, uniforms, plans = batch_instance(K)
+    for kind in kinds:
+        spec = PolicySpec(kind, gamma=0.4, mode=mode)
         plan = plans if spec.needs_plan else None
-        got = _match_edges(s, MODE_RATE, kind, spec.gamma, avail, plan, uniforms)
-        for j in range(n):
+        got = _match_edges(s, mode, kind, spec.gamma, avail, plan, uniforms)
+        for j in range(len(avail)):
             want = reference_matches(
                 s, spec, avail[j], None if plan is None else plan[j], uniforms[j]
             )
             assert np.array_equal(got[j], want), (K, kind, j)
+
+
+@pytest.mark.parametrize("K", [1, 2, 9])
+def test_a_rate_batch_matches_the_cell_by_cell_rules_in_every_trial(K):
+    kinds = ("rand", "max", "randmax", "nadaplp_rate")
+    assert_batch_matches_the_cell_by_cell_rules(K, MODE_RATE, kinds)
+
+
+@pytest.mark.parametrize("K", [1, 2, 9])
+def test_a_fixed_time_batch_matches_the_cell_by_cell_rules_in_every_trial(K):
+    kinds = ("rand", "max", "randmax", "nadapopt", "adaptmatch")
+    assert_batch_matches_the_cell_by_cell_rules(K, MODE_FIXED, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +251,61 @@ def test_rand_mean_total_on_the_worked_instance():
     for vid, want in (("A", 0.45), ("B", 0.5)):
         got = agg.mean_recipient_weight[vid]
         assert abs(got - want) < 3 * max(agg.std_err_recipient[vid], 1e-12)
+
+
+def fold_matched_weights(s, matched, donor_first=False):
+    """Y_v of (U, T) matched edges, added one by one over t, then u."""
+    y = [0.0] * s.n_recipients
+    cells = [(u, t) for t in range(s.horizon) for u in range(s.n_donors)]
+    for u, t in sorted(cells) if donor_first else cells:
+        e = matched[u, t]
+        if e >= 0:
+            v = s.edge_recipient[e]
+            y[v] = y[v] + float(s.weights[e, t])
+    return y
+
+
+def mixed_magnitude_instance(rng, U=30, T=4):
+    """Every donor reaches v0, most also v1; weights span 16 decades."""
+    edges = [(f"u{i}", "v0") for i in range(U)] + [(f"u{i}", "v1") for i in range(0, U, 3)]
+    return build_scenario(
+        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(U)],
+        recipients=[Recipient("v0", 0.0, 0.0), Recipient("v1", 0.0, 0.0)],
+        edges=edges,
+        weights=rng.random((len(edges), T)) * 10.0 ** rng.integers(-8, 8, size=(len(edges), T)),
+        availability=None,
+        horizon=T,
+        rate_limit=1,
+    )
+
+
+def test_recipient_totals_add_in_step_then_donor_order(monkeypatch):
+    # Weights over 16 decades on one recipient make the sum depend on its
+    # order, so a pairwise or donor-first sum fails here; the check that
+    # the donor-first fold differs shows the data can tell.
+    rng = np.random.default_rng(19)
+    s = mixed_magnitude_instance(rng)
+    table = np.pad(s.donor_edge_table, ((0, 0), (0, 1)), constant_values=-1)
+    pick = rng.integers(0, table.shape[1], size=(50, s.n_donors, s.horizon))
+    matched = table[np.arange(s.n_donors)[:, None], pick]
+    want = [fold_matched_weights(s, m) for m in matched]
+    assert matched_weights(s, matched).tolist() == want
+    assert matched_weights(s, matched[7]).tolist() == want[7]
+    assert [fold_matched_weights(s, m, donor_first=True) for m in matched] != want
+
+    monkeypatch.setattr(simulate, "CHUNK_CELLS", 7 * s.n_donors * s.horizon)
+    agg = monte_carlo_evaluate(
+        s, PolicySpec("rand"), 30, rng=np.random.default_rng(4), keep_trials=True
+    )
+    kept = [tr.outcome.matched for tr in agg.trials]
+    want = [fold_matched_weights(s, m) for m in kept]
+    assert agg.recipient_totals.tolist() == want
+    assert agg.totals.tolist() == weight_total(np.array(want)).tolist()
+    counts = np.zeros((s.n_edges, s.horizon))
+    for m in kept:
+        for u, t in zip(*np.nonzero(m >= 0)):
+            counts[m[u, t], t] += 1
+    assert np.array_equal(agg.match_counts, counts)
 
 
 def test_deterministic_policy_has_zero_standard_error():
