@@ -18,7 +18,6 @@ import argparse
 import csv
 import os
 import sys
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -29,10 +28,11 @@ from .graph import (
     Scenario,
     load_scenario,
     save_scenario,
+    scored_mask,
     validate_scenario,
     with_normalization,
 )
-from .metrics import fairness_report, gamma_of, scored_recipients
+from .metrics import fairness_report, gamma_of
 from .oracle import EnumerationError, brute_force_opt
 from .policies import PolicySpec, parse_policy
 from .simulate import draw_realization, estimate_normalization, monte_carlo_evaluate
@@ -66,11 +66,13 @@ def _norm_dict(s: Scenario) -> Dict[str, float]:
     return {v.id: float(s.normalization[i]) for i, v in enumerate(s.recipients)}
 
 
-def _name_unscored(ids: Sequence[str]) -> None:
-    if ids:
+def _name_unscored(s: Scenario) -> None:
+    ids = [v.id for v in s.recipients]
+    off = sorted(ids[i] for i in np.flatnonzero(~scored_mask(s.normalization, ids)))
+    if off:
         _info(
             "recipients left out of Gamma for lack of a positive normalization "
-            "score: " + ", ".join(ids)
+            "score: " + ", ".join(off)
         )
 
 
@@ -159,10 +161,8 @@ def cmd_run(args) -> int:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(row % (i, *r) for i, r in enumerate(table, 1))
 
-    m = _norm_dict(s)
-    scored, unscored = scored_recipients(agg.mean_recipient_weight, m)
-    _name_unscored(unscored)
-    gamma_emp = gamma_of(scored, m)
+    _name_unscored(s)
+    gamma_emp = gamma_of(agg.mean_recipient_weight, _norm_dict(s))
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
     _write_csv(
         agg_path,
@@ -226,10 +226,7 @@ def sweep_rows(
     reference = max_agg.mean_total_weight
 
     def report(agg, bound):
-        with warnings.catch_warnings():
-            # cmd_sweep names the unscored recipients once, not on every row.
-            warnings.filterwarnings("ignore", "recipients excluded", UserWarning)
-            return fairness_report(agg, m, max_weight=reference, lp_bound=bound)
+        return fairness_report(agg, m, max_weight=reference, lp_bound=bound)
 
     rows = []
     for label, agg in (("max", max_agg), ("rand", rand_agg)):
@@ -281,8 +278,7 @@ def cmd_sweep(args) -> int:
         _info(f"input error: {err}")
         return 2
     s = _ensure_normalization(s, args.seed, MODE_FIXED)
-    m = _norm_dict(s)
-    _name_unscored(scored_recipients(m, m)[1])
+    _name_unscored(s)
     try:
         rows = sweep_rows(s, args.gammas, args.trials, args.seed)
     except (ValueError, RuntimeError) as err:

@@ -218,6 +218,21 @@ def _normalization_array(
     return arr
 
 
+def scored_mask(m, ids: Sequence[str]) -> np.ndarray:
+    """Which recipients are on the Gamma scale, given scores m in the order of ``ids``.
+
+    A recipient with m_v > 0 is on it and one with m_v = 0 is off it; a score
+    that is not >= 0 (negative or NaN) is refused, naming every such id.
+    """
+    m = np.asarray(m, dtype=float)
+    bad = np.flatnonzero(~(m >= 0.0))
+    if bad.size:
+        raise ValueError(
+            f"nonnegative normalization scores required, not >= 0 for {[ids[i] for i in bad]}"
+        )
+    return m > 0.0
+
+
 def build_scenario(
     donors: Sequence[Donor],
     recipients: Sequence[Recipient],

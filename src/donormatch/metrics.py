@@ -7,15 +7,33 @@ min/max ratio of the normalized outcomes. Two degenerate cases follow
 from the definition rather than taste: an all-zero allocation satisfies
 every gamma (level 1), and a mix of zero and positive outcomes satisfies
 none (level 0).
+
+Only recipients with a positive normalization score m_v are on that
+scale. One rule holds here as in the solvers' band and on the command
+line: a recipient with m_v = 0 is left off the scale, and a negative or
+NaN score is refused (``graph.scored_mask`` decides both).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
+from .graph import scored_mask
 from .simulate import AggregateResult
+
+
+def _normalized(
+    recipient_weight: Mapping[str, float], normalization: Mapping[str, float]
+) -> Dict[str, float]:
+    """Y_v/m_v for each recipient on the Gamma scale, in the given order."""
+    ids = list(recipient_weight)
+    for vid in ids:
+        if vid not in normalization:
+            raise ValueError(f"no normalization score for recipient {vid!r}")
+    m = [float(normalization[vid]) for vid in ids]
+    on = scored_mask(m, ids)
+    return {vid: float(recipient_weight[vid]) / mv for vid, mv, k in zip(ids, m, on) if k}
 
 
 def gamma_of(
@@ -23,20 +41,11 @@ def gamma_of(
 ) -> float:
     """Largest gamma in [0, 1] with gamma * (Y_v/m_v) <= Y_w/m_w for all pairs.
 
-    Equals min(Y_v/m_v) / max(Y_v/m_v), clamped to [0, 1]. Every recipient
-    present must have a positive normalization score; use fairness_report
-    for the forgiving variant that excludes m_v = 0 recipients instead.
+    Equals min(Y_v/m_v) / max(Y_v/m_v), clamped to [0, 1], over the
+    recipients with m_v > 0; those with m_v = 0 are off the scale and
+    skipped. A missing, negative or NaN score raises ValueError.
     """
-    normalized = []
-    for vid, y in recipient_weight.items():
-        if vid not in normalization:
-            raise ValueError(f"no normalization score for recipient {vid!r}")
-        m = float(normalization[vid])
-        if m <= 0.0:
-            raise ValueError(
-                f"normalization score for recipient {vid!r} is {m:g}, must be > 0"
-            )
-        normalized.append(float(y) / m)
+    normalized = list(_normalized(recipient_weight, normalization).values())
     if not normalized:
         return 1.0
     top = max(normalized)
@@ -64,10 +73,9 @@ def competitive_fraction(policy_weight: float, reference: float) -> float:
 class FairnessReport:
     """One policy's evaluation row.
 
-    ``normalized`` maps each scored recipient to Y_v/m_v; recipients
-    dropped for lacking a positive m_v are listed in ``excluded``.
-    ``lp_bound`` is the matching relaxation's objective when one was
-    computed for the run.
+    ``normalized`` maps each recipient on the Gamma scale (m_v > 0) to
+    Y_v/m_v. ``lp_bound`` is the matching relaxation's objective when one
+    was computed for the run.
     """
 
     gamma_empirical: float
@@ -75,24 +83,6 @@ class FairnessReport:
     weight_fraction_of_max: float
     total_weight: float
     lp_bound: Optional[float] = None
-    excluded: Tuple[str, ...] = field(default_factory=tuple)
-
-
-def scored_recipients(
-    recipient_weight: Mapping[str, float], normalization: Mapping[str, float]
-) -> Tuple[Dict[str, float], Tuple[str, ...]]:
-    """Split recipients by whether they have a positive normalization score.
-
-    Returns the weights of the scored recipients, in their given order,
-    and the sorted ids of the rest, which gamma_of cannot place on the
-    proportionality scale.
-    """
-    kept = {
-        vid: y
-        for vid, y in recipient_weight.items()
-        if float(normalization.get(vid, 0.0)) > 0.0
-    }
-    return kept, tuple(sorted(set(recipient_weight) - set(kept)))
 
 
 def fairness_report(
@@ -101,28 +91,14 @@ def fairness_report(
     max_weight: float,
     lp_bound: Optional[float] = None,
 ) -> FairnessReport:
-    """Assemble the evaluation row for one aggregated policy run.
-
-    Recipients without a positive normalization score cannot be placed on
-    the proportionality scale; they are excluded from gamma with a warning
-    naming them, and recorded in the report, rather than failing the run.
-    """
-    kept, excluded = scored_recipients(aggregate.mean_recipient_weight, normalization)
-    if excluded:
-        warnings.warn(
-            "recipients excluded from the proportionality measure for lack of a "
-            f"positive normalization score: {list(excluded)}",
-            stacklevel=2,
-        )
+    """Assemble the evaluation row for one aggregated policy run."""
+    y = aggregate.mean_recipient_weight
     return FairnessReport(
-        gamma_empirical=gamma_of(kept, normalization),
-        normalized={
-            vid: float(y) / float(normalization[vid]) for vid, y in kept.items()
-        },
+        gamma_empirical=gamma_of(y, normalization),
+        normalized=_normalized(y, normalization),
         weight_fraction_of_max=competitive_fraction(
             aggregate.mean_total_weight, max_weight
         ),
         total_weight=aggregate.mean_total_weight,
         lp_bound=lp_bound,
-        excluded=excluded,
     )

@@ -39,7 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .graph import DemandRealization, Scenario
+from .graph import DemandRealization, Scenario, scored_mask
 from .simplex import SimplexError, branch_and_bound, solve_lp
 from .windows import _induced_availability, _window_cells
 
@@ -171,15 +171,9 @@ def _check_inputs(s: Scenario, gamma: float) -> np.ndarray:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if gamma == 0.0:
         return np.zeros(0, dtype=np.int64)
-    m = s.normalization
-    if m is None:
+    if s.normalization is None:
         raise ValueError("gamma > 0 requires normalization scores on the scenario")
-    if not np.all(m >= 0.0):
-        bad = [s.recipients[i].id for i in np.flatnonzero(~(m >= 0.0))[:5]]
-        raise ValueError(
-            f"gamma > 0 requires nonnegative normalization scores, got m < 0 for {bad}"
-        )
-    scored = np.flatnonzero(m > 0.0)
+    scored = np.flatnonzero(scored_mask(s.normalization, [v.id for v in s.recipients]))
     return scored if scored.size >= 2 else scored[:0]
 
 
@@ -218,9 +212,9 @@ def _solve_cells(
     if nb:
         # s_j = q.x over the cells whose recipient is band[j], at v = j; q is 0
         # off the band, where any v will do.
-        m = s.normalization[s.edge_recipient[ce]]
-        q = np.divide(cost, m, out=np.zeros(ce.size), where=m > 0.0)
-        v = np.minimum(np.searchsorted(band, s.edge_recipient[ce]), nb - 1)
+        r = s.edge_recipient[ce]
+        v = np.minimum(np.searchsorted(band, r), nb - 1)
+        q = np.divide(cost, s.normalization[r], out=np.zeros(ce.size), where=band[v] == r)
         if (np.bincount(v, q, minlength=nb) == 0.0).any():
             # A banded total that no cell can raise pins L, and with it every
             # banded total, at 0: the cells that count are fixed at 0.
@@ -358,7 +352,7 @@ def _assemble(
         ).astype(float)
     sv = np.full(s.n_recipients, np.nan)
     if s.normalization is not None:
-        scored = s.normalization > 0.0
+        scored = scored_mask(s.normalization, [v.id for v in s.recipients])
         sv[scored] = raw[scored] / s.normalization[scored]
     a = _induced_availability(s, x) if kind in _RATE_KINDS else None
     objective = float(cost @ xcells) if ce.size else 0.0

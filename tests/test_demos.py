@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import inspect
 import pathlib
 import re
 import runpy
@@ -43,6 +45,32 @@ def test_the_names_the_readme_demos_and_benchmark_use_are_exported():
             used.setdefault(name, str(path.relative_to(ROOT)))
     assert len(used) >= 20
     assert {n: where for n, where in used.items() if not hasattr(donormatch, n)} == {}
+
+
+def test_every_call_the_benchmark_makes_binds_to_the_current_signature():
+    # The benchmark calls ``dm.<name>(...)`` and ``cli.<name>(...)`` (also as
+    # ``self.dm`` and ``self.cli``) with fixed positional counts and keyword
+    # names; a renamed or dropped parameter would fail every benchmark run.
+    calls = []
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            owner = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if owner in ("dm", "cli"):
+                calls.append((f"{path.name}:{node.lineno}", owner, node))
+    assert len(calls) >= 40
+    unbound = {}
+    for where, owner, node in calls:
+        assert not any(isinstance(a, ast.Starred) for a in node.args), where
+        assert all(k.arg is not None for k in node.keywords), where
+        f = getattr(donormatch if owner == "dm" else cli, node.func.attr)
+        try:
+            inspect.signature(f).bind(*node.args, **{k.arg: k for k in node.keywords})
+        except TypeError as err:
+            unbound[f"{where} {owner}.{node.func.attr}"] = str(err)
+    assert unbound == {}
 
 
 def test_the_readme_names_exactly_the_flags_each_subcommand_takes():

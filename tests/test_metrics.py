@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import two_recipient_instance
+from donormatch.graph import Donor, Recipient, build_scenario, with_normalization
 from donormatch.metrics import (
     competitive_fraction,
     empirical_ep,
@@ -19,6 +20,7 @@ from donormatch.simulate import (
     estimate_normalization,
     monte_carlo_evaluate,
 )
+from donormatch.solver import solve_fixedtime_lp
 
 
 def fake_aggregate(means, total=None):
@@ -60,12 +62,54 @@ def test_empty_allocation_satisfies_every_level():
 
 
 def test_bad_normalization_scores_are_an_error():
-    with pytest.raises(ValueError, match="must be > 0"):
-        gamma_of({"A": 1.0}, {"A": 0.0})
-    with pytest.raises(ValueError, match="must be > 0"):
+    with pytest.raises(ValueError, match=r"not >= 0 for \['A'\]"):
         gamma_of({"A": 1.0}, {"A": -0.5})
     with pytest.raises(ValueError, match="no normalization score"):
         gamma_of({"A": 1.0}, {"B": 1.0})
+
+
+def test_a_nan_score_is_refused_not_read_as_proportional():
+    with pytest.raises(ValueError, match=r"not >= 0 for \['A'\]"):
+        gamma_of({"A": 1.0, "B": 2.0}, {"A": float("nan"), "B": 1.0})
+
+
+def test_a_zero_score_is_off_the_scale_and_skipped():
+    # m_v = 0 leaves C out, as the solvers leave it out of their band.
+    assert gamma_of({"A": 1.0, "B": 2.0, "C": 5.0}, {"A": 1.0, "B": 1.0, "C": 0.0}) == 0.5
+    assert gamma_of({"A": 1.0, "C": 0.0}, {"A": 1.0, "C": 0.0}) == 1.0
+    assert gamma_of({"C": 1.0}, {"C": 0.0}) == 1.0
+
+
+def test_gamma_of_reads_the_lp_band_it_was_solved_under():
+    # B's only edge is never available, so its estimated score is 0; A and C
+    # are scored, and at gamma 0.5 the band between them binds. The band and
+    # gamma_of leave B off the scale alike, so the LP's totals meet gamma.
+    s = build_scenario(
+        donors=[Donor("u", 0.0, 0.0), Donor("w", 0.0, 0.0)],
+        recipients=[
+            Recipient("A", 0.0, 0.0),
+            Recipient("B", 0.0, 0.1, kind="dynamic"),
+            Recipient("C", 0.0, 0.2),
+        ],
+        edges=[("u", "A"), ("u", "B"), ("w", "A"), ("w", "C")],
+        weights=[0.9, 1.0, 1.0, 0.3],
+        availability={"B": 0.0, "C": 0.6},
+        horizon=1,
+        rate_limit=1,
+    )
+    m = estimate_normalization(
+        s, trials=200, rng=np.random.default_rng(0), protocol="expectation"
+    )
+    assert m["B"] == 0.0 and m["A"] > 0.0 and m["C"] > 0.0
+    s = with_normalization(s, m)
+
+    def lp_gamma(gamma):
+        x = solve_fixedtime_lp(s, gamma).x
+        y = np.bincount(s.edge_recipient, (s.weights * x).sum(axis=1), s.n_recipients)
+        return gamma_of({v.id: y[i] for i, v in enumerate(s.recipients)}, m)
+
+    assert lp_gamma(0.0) < 0.5
+    assert lp_gamma(0.5) >= 0.5 - 1e-9
 
 
 @given(
@@ -150,22 +194,24 @@ def test_report_carries_the_evaluation_row():
     assert rep.weight_fraction_of_max == pytest.approx(0.5)
     assert rep.total_weight == pytest.approx(3.0)
     assert rep.lp_bound == 4.0
-    assert rep.excluded == ()
 
 
-def test_report_excludes_unscored_recipients_with_a_warning():
+def test_report_leaves_a_zero_score_recipient_out_of_normalized():
     agg = fake_aggregate({"A": 1.0, "B": 1.0, "C": 0.7})
-    with pytest.warns(UserWarning, match="excluded.*'C'"):
-        rep = fairness_report(agg, {"A": 1.0, "B": 1.0}, max_weight=3.0)
-    assert rep.excluded == ("C",)
+    rep = fairness_report(agg, {"A": 1.0, "B": 1.0, "C": 0.0}, max_weight=3.0)
+    assert rep.normalized == {"A": 1.0, "B": 1.0}
     assert rep.gamma_empirical == 1.0
-    assert "C" not in rep.normalized
+
+
+def test_report_refuses_a_negative_or_nan_score():
+    agg = fake_aggregate({"A": 1.0, "B": 2.0})
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"not >= 0 for \['A'\]"):
+            fairness_report(agg, {"A": bad, "B": 1.0}, max_weight=3.0)
 
 
 def test_report_with_no_scored_recipients_uses_the_empty_convention():
     agg = fake_aggregate({"A": 1.0})
-    with pytest.warns(UserWarning):
-        rep = fairness_report(agg, {}, max_weight=1.0)
+    rep = fairness_report(agg, {"A": 0.0}, max_weight=1.0)
     assert rep.gamma_empirical == 1.0
     assert rep.normalized == {}
-    assert rep.excluded == ("A",)

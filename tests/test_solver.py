@@ -350,6 +350,10 @@ def test_positive_gamma_needs_positive_normalization():
     )
     with pytest.raises(ValueError, match="nonnegative normalization"):
         solve_nadapopt_lp(negative, gamma=0.5)
+    # NaN is refused as negative is, by the rule metrics.gamma_of follows.
+    undefined = dataclasses.replace(negative, normalization=np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match=r"not >= 0 for \['A'\]"):
+        solve_nadapopt_lp(undefined, gamma=0.5)
     # gamma = 0 runs without scores; normalized totals are just undefined.
     sol = solve_nadapopt_lp(bare, gamma=0.0)
     assert np.isnan(sol.s).all()
