@@ -207,11 +207,12 @@ def _refuse_unknown(keys, known, what: str) -> None:
 def _normalization_array(
     m: Union[np.ndarray, Mapping[str, float]], recipients: Sequence[Recipient]
 ) -> np.ndarray:
-    """Scores in recipient order from an array (V,) or a map keyed by id (absent ids score 0)."""
+    """Scores in recipient order from an array (V,) or a map naming every recipient's id."""
     if isinstance(m, Mapping):
         ids = [v.id for v in recipients]
         _refuse_unknown(m, ids, "normalization given for unknown recipients")
-        return np.array([float(m.get(v.id, 0.0)) for v in recipients])
+        _refuse_unknown(ids, m, "normalization missing for recipients")
+        return np.array([float(m[v.id]) for v in recipients])
     arr = np.asarray(m, dtype=float)
     if arr.shape != (len(recipients),):
         raise ValueError(f"normalization array has shape {arr.shape}, want {(len(recipients),)}")
@@ -255,7 +256,8 @@ def build_scenario(
         out, and the steps an entry's map leaves out, default to 1.0 for
         static recipients and 0 for dynamic ones.
     normalization : array (V,) or map keyed by recipient id, optional
-        Recipients the map leaves out score 0.
+        A map names every recipient; a score of 0 puts one off the Gamma
+        scale.
 
     Returns
     -------
@@ -432,11 +434,14 @@ def matched_weights(s: Scenario, matched: np.ndarray) -> np.ndarray:
     donor) order, so every caller gets the same sums to the last bit.
     """
     matched = np.asarray(matched)
+    U, T = matched.shape[-2:]
     shape = matched.shape[:-2] + (s.n_recipients,)
-    *lead, tau, ui = np.nonzero(np.swapaxes(matched, -1, -2) >= 0)
-    e = matched[(*lead, ui, tau)]
-    at = np.ravel_multi_index((*lead, s.edge_recipient[e]), shape)
-    out = np.bincount(at, s.weights[e, tau], int(np.prod(shape)))
+    by_step = np.swapaxes(matched, -1, -2).reshape(-1)  # a C-order copy
+    flat = np.flatnonzero(by_step >= 0)
+    e = by_step[flat]
+    lead, cell = np.divmod(flat, T * U)
+    at = lead * s.n_recipients + s.edge_recipient[e]
+    out = np.bincount(at, s.weights[e, cell // U], int(np.prod(shape)))
     return out.reshape(shape).astype(float, copy=False)  # int when nothing matched
 
 

@@ -50,9 +50,12 @@ DRAW_KINDS = ("rand", "max", "randmax", "adaptmatch")
 
 # Donor-step cells, summed over trials, that the simulator hands
 # _match_edges at once; a chunk holds max(1, CHUNK_CELLS // (U * T))
-# trials. Enough cells to spread numpy's per-call cost and the rate-limited
-# walk's per-step calls, few enough that the kernel's (cells, degree) work
-# arrays stay a few MB (48,000 cells x 11 edges x 8 bytes = 4.2 MB).
+# trials. It counts every cell, not only the decision cells whose (cells, 2)
+# and (cells,) streams a fixed-time trial draws, because the chunk's
+# (n, U, T) matches and (n, V, T) realizations span them all. Enough cells
+# to spread numpy's per-call cost and the rate-limited walk's per-step
+# calls, few enough that the kernel's (cells, degree) work arrays stay a
+# few MB (48,000 cells x 11 edges x 8 bytes = 4.2 MB).
 CHUNK_CELLS = 16 * 3000
 
 # Slack allowed on a pre-match distribution's total mass before the plan
@@ -196,10 +199,14 @@ def plan_probabilities(
 
 
 def _sample_plan(s, kind, gamma, alpha, beta, rng, lp) -> np.ndarray:
+    """A (U, T) plan from one number per decision cell, -1 off those cells."""
     if lp is None:
         lp = plan_relaxation(s, kind, gamma)
     probs = plan_probabilities(s, kind, lp, alpha, beta)
-    return _draw_assignment(s, probs, rng.random((s.n_donors, s.horizon)))
+    cells = decision_cells(s, MODE_RATE if kind == "nadaplp_rate" else MODE_FIXED)
+    plan = np.full(s.n_donors * s.horizon, -1, dtype=np.int64)
+    plan[cells] = _draw_assignment(s, probs, rng.random(cells.size), cells)
+    return plan.reshape(s.n_donors, s.horizon)
 
 
 def nadaplp_plan(
@@ -282,22 +289,40 @@ def _over_availability(s: Scenario, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_assignment(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """One categorical draw per (donor, step) from per-edge probabilities.
+def decision_cells(s: Scenario, mode: str) -> np.ndarray:
+    """Flat (donor, step) indices, ``u * T + t``, of the cells a trial may decide.
 
-    ``uniforms`` holds one number per (donor, step), shape (..., U, T)
-    with any leading trial axes. A cell takes the first of its donor's
-    edges whose running probability total exceeds the cell's number, or
-    -1 when none does, so two plans drawn from the same uniforms land on
-    the same assignments wherever their probabilities agree. The totals
-    run slot first, (D, U, T), and never fall, so that edge's slot is the
-    count of totals at or below the number. Table entries of -1 read an
-    appended zero row of ``probs``; a count of D reads the table's -1 row.
+    Fixed-time mode: the scheduled cells. Rate-limited mode: every cell,
+    since a free donor may act at any step. Per-trial decision and plan
+    streams hold one entry per cell in this order, so a fixed-time trial
+    draws nothing for the cells its donors never act on.
     """
-    table = np.pad(s.donor_edge_table.T, ((0, 1), (0, 0)), constant_values=-1)
-    cum = np.cumsum(np.pad(probs, ((0, 1), (0, 0)))[table], axis=0)
-    slot = (uniforms[..., None, :, :] >= cum[:-1]).sum(axis=-3)
-    return table[slot, np.arange(s.n_donors)[:, None]]
+    if mode == MODE_FIXED:
+        return np.flatnonzero(s.donor_schedule)
+    return np.arange(s.n_donors * s.horizon)
+
+
+def _draw_assignment(
+    s: Scenario, probs: np.ndarray, uniforms: np.ndarray, cells: np.ndarray
+) -> np.ndarray:
+    """One categorical draw per decision cell from per-edge probabilities.
+
+    ``cells`` holds flat (donor, step) indices, ``decision_cells``'s layout,
+    and ``uniforms`` one number per cell, shape (..., cells) with any
+    leading trial axes; the result has the same shape. A cell takes the
+    first of its donor's edges whose running probability total exceeds the
+    cell's number, or -1 when none does, so two plans drawn from the same
+    uniforms land on the same assignments wherever their probabilities
+    agree. The totals run slot first, (D, cells), and never fall, so that
+    edge's slot is the count of totals at or below the number. Table
+    entries of -1 read an appended zero row of ``probs``; a count of D
+    reads the table's -1 row.
+    """
+    cu, ct = np.divmod(cells, s.horizon)
+    table = np.pad(s.donor_edge_table.T, ((0, 1), (0, 0)), constant_values=-1).take(cu, 1)
+    cum = np.cumsum(np.pad(probs, ((0, 1), (0, 0)))[table, ct], axis=0)
+    slot = (uniforms[..., None, :] >= cum[:-1]).sum(axis=-2)
+    return table[slot, np.arange(cells.size)]
 
 
 def _match_edges(
@@ -312,10 +337,11 @@ def _match_edges(
     """Matched edge index per (trial, donor, step), -1 for no match.
 
     ``available`` holds n trials' recipient realizations as booleans,
-    shape (n, V, T). Plan kinds read ``assignment``, the trials' (n, U, T)
-    pre-matched edges; DRAW_KINDS read ``uniforms``, shape (n, U, T, 2).
-    A deciding cell (u, t) reads its own entries alone, by the rule in
-    ``_decide``.
+    shape (n, V, T). Plan kinds read ``assignment``, the trials'
+    pre-matched edges, shape (n, cells); DRAW_KINDS read ``uniforms``,
+    shape (n, cells, 2). Both are laid out over ``decision_cells(s,
+    mode)``, and the i-th of those cells reads entry i alone, by the rule
+    in ``_decide``.
 
     Fixed-time mode decides the scheduled cells at once; rate-limited mode
     walks the steps and decides only the free (trial, donor) pairs, and a
@@ -334,18 +360,23 @@ def _match_edges(
     rec, ok = s.edge_recipient[edge], table >= 0
     planned = up = draws = open_ = w = None
     if mode == MODE_FIXED:
-        cells = np.flatnonzero(s.donor_schedule)
+        cells = decision_cells(s, mode)
         cu, ct = np.divmod(cells, T)
         table, edge, rec, ok = (a.take(cu, 1) for a in (table, edge, rec, ok))
         if kind in _PLAN_KINDS:
-            planned = assignment.reshape(n, -1).take(cells, 1)
+            planned = assignment
             up = available[np.arange(n)[:, None], s.edge_recipient[planned], ct]
         if kind in DRAW_KINDS:
-            draws = uniforms.reshape(n, -1, 2).take(cells, 1)
+            draws = uniforms
             open_ = available.reshape(n, -1).take(rec * T + ct, 1) & ok
             w = s.weights[edge, ct]
         matched.reshape(n, -1)[:, cells] = _decide(kind, coin, planned, up, table, open_, w, draws)
         return matched
+    # Rate-limited cells are every (donor, step) in C order.
+    if kind in _PLAN_KINDS:
+        assignment = assignment.reshape(n, U, T)
+    if kind in DRAW_KINDS:
+        uniforms = uniforms.reshape(n, U, T, 2)
     next_free = np.zeros((n, U), dtype=np.int64)
     for tau in range(T):
         i, u = np.nonzero(next_free <= tau)

@@ -17,15 +17,18 @@ The streams stay per trial, but a Monte Carlo evaluation draws them a
 chunk of trials at a time from one Philox re-keyed for each trial
 (``_draws``), which yields exactly the numbers of that trial's own
 ``_stream``. A trial's realization is one (V, T) block of its
-realization stream. Plan kinds compute their pre-match probabilities
-once per evaluation; each trial's plan is drawn from one (U, T) block of
-its plan stream.
+realization stream, since the kernel reads every recipient at every step.
 
-The decision stream gives each trial one (U, T, 2) block of uniforms,
-drawn only by the kinds that decide on the spot (rand, max, randmax,
-adaptmatch). Cell (u, t) reads ``[u, t, 0:2]``, a coin and a pick, and
-nothing else, so visiting donors in a different order cannot change any
-decision.
+The plan and decision streams hold one entry per decision cell, in the
+order of ``policies.decision_cells``: the scheduled (donor, step) cells
+in fixed-time mode, every cell in rate-limited mode. Plan kinds compute
+their pre-match probabilities once per evaluation; each trial's plan is
+drawn from one (cells,) block of its plan stream. The decision stream
+gives each trial one (cells, 2) block of uniforms, drawn only by the
+kinds that decide on the spot (rand, max, randmax, adaptmatch). The i-th
+cell reads ``[i, 0:2]``, a coin and a pick, and nothing else, so visiting
+donors in a different order cannot change any decision, and a
+fixed-time trial draws nothing for the cells its donors never act on.
 
 The kernel's (U, T) matched edge indices are the trial's outcome as they
 stand (``MatchingOutcome.matched``); recipient totals of a single trial
@@ -55,6 +58,7 @@ from .policies import (
     PolicySpec,
     _draw_assignment,
     _match_edges,
+    decision_cells,
     default_alpha,
     estimate_beta,
     plan_probabilities,
@@ -128,14 +132,17 @@ def run_policy(
     Fixed-time mode lets a donor act exactly on its scheduled days;
     rate-limited mode lets it act whenever at least K steps have passed
     since its last match. Plan-based kinds require ``plan``, the (U, T)
-    pre-matched edge indices; rng is the trial's decision stream.
+    pre-matched edge indices, of which only the decision cells
+    (``decision_cells``) are read; rng is the trial's decision stream,
+    from which the deciding kinds draw one (cells, 2) block.
     """
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
-    plans = None if plan is None else np.asarray(plan)[None]
+    cells = decision_cells(s, policy.mode)
+    plans = None if plan is None else np.asarray(plan).reshape(1, -1)[:, cells]
     uniforms = None
     if policy.kind in DRAW_KINDS:
-        uniforms = rng.random((s.n_donors, s.horizon, 2))[None]
+        uniforms = rng.random((cells.size, 2))[None]
     available = (np.asarray(r.available) != 0)[None]
     matched = _match_edges(s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms)
     return TrialResult(outcome_from_matches(s, matched[0]), seed, policy)
@@ -246,6 +253,7 @@ def monte_carlo_evaluate(
     kept: Optional[List[TrialResult]] = [] if keep_trials else None
 
     U, V, T, E = s.n_donors, s.n_recipients, s.horizon, s.n_edges
+    cells = decision_cells(s, policy.mode)
     match_counts = np.zeros((E, T))
     per_chunk = max(1, CHUNK_CELLS // max(U * T, 1))
     for lo in range(0, trials, per_chunk):
@@ -256,9 +264,9 @@ def monte_carlo_evaluate(
             available = np.broadcast_to(fixed, (len(chunk), V, T))
         plans = uniforms = None
         if probs is not None:
-            plans = _draw_assignment(s, probs, _draws(chunk, _CTR_PLAN, (U, T)))
+            plans = _draw_assignment(s, probs, _draws(chunk, _CTR_PLAN, (cells.size,)), cells)
         if policy.kind in DRAW_KINDS:
-            uniforms = _draws(chunk, _CTR_DECIDE, (U, T, 2))
+            uniforms = _draws(chunk, _CTR_DECIDE, (cells.size, 2))
         matched = _match_edges(
             s, policy.mode, policy.kind, policy.gamma, available, plans, uniforms
         )

@@ -126,3 +126,18 @@ def random_instance(
 def random_realization(s: Scenario, rng: np.random.Generator) -> DemandRealization:
     avail = (rng.random((s.n_recipients, s.horizon)) < s.availability).astype(np.int8)
     return DemandRealization(avail)
+
+
+def reference_draw(s: Scenario, probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """A plan's categorical draw walked cell by cell over (..., U, T) uniforms:
+    the first edge whose running total exceeds the cell's number, else -1."""
+    out = np.full(uniforms.shape, -1, dtype=np.int64)
+    for cell in np.ndindex(uniforms.shape):
+        u, t = cell[-2:]
+        total = 0.0
+        for e in s.donor_edges[u]:
+            total = total + probs[e, t]
+            if uniforms[cell] < total:
+                out[cell] = e
+                break
+    return out

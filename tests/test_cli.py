@@ -116,8 +116,13 @@ def test_a_subcommand_refuses_the_flags_it_does_not_read(argv, tiny, tmp_path, c
          "weights": [], "horizon": 1, "rate_limit": 1},
         {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": 1,
          "rate_limit": 1, "normalisation": {}},
+        {"donors": [], "recipients": [{"id": "A"}, {"id": "B"}], "edges": [], "weights": [],
+         "horizon": 1, "rate_limit": 1, "normalization": {"A": 1.0}},
     ],
-    ids=["missing-keys", "null-horizon", "unknown-donor-key", "unknown-top-level-key"],
+    ids=[
+        "missing-keys", "null-horizon", "unknown-donor-key", "unknown-top-level-key",
+        "partial-score-map",
+    ],
 )
 @pytest.mark.parametrize(
     "command", [["run", "rand"], ["sweep"], ["oracle"]], ids=["run", "sweep", "oracle"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -248,6 +249,19 @@ def test_scenario_from_dict_refuses_keys_it_does_not_read(change, message):
     assert message in str(err.value)
 
 
+def test_a_scenario_file_must_score_every_recipient(tmp_path):
+    # A recipient meant to be off the Gamma scale is scored 0, not left out.
+    doc = _scenario_doc()
+    doc["normalization"] = {"A": 0.0, "B": 0.5}
+    assert scenario_from_dict(doc).normalization.tolist() == [0.0, 0.5]
+    del doc["normalization"]["A"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_scenario(path)
+    assert "normalization missing for recipients ['A']" in str(err.value)
+
+
 def test_weight_dict_form_requires_every_step():
     with pytest.raises(ValueError, match="missing weight"):
         build_scenario(
@@ -374,12 +388,14 @@ def _build(**changes):
             {"normalization": {"A": 1.0, "nobody": 2.0}},
             "normalization given for unknown recipients ['nobody']",
         ),
+        ({"normalization": {"A": 1.0}}, "normalization missing for recipients ['B']"),
     ],
     ids=[
         "weights-shape", "weight-count", "weight-length", "weight-step",
         "availability-shape", "availability-id", "availability-length",
         "availability-step", "weight-step-fraction", "availability-step-fraction",
         "weight-step-bool", "normalization-shape", "normalization-id",
+        "normalization-missing-id",
     ],
 )
 def test_build_scenario_refuses_each_malformed_input(changes, message):
@@ -399,8 +415,9 @@ def test_per_step_maps_fill_missing_steps_with_the_recipients_default():
     [
         (np.ones(3), "normalization array has shape (3,), want (2,)"),
         ({"A": 1.0, "nobody": 2.0}, "normalization given for unknown recipients ['nobody']"),
+        ({"B": 0.5}, "normalization missing for recipients ['A']"),
     ],
-    ids=["shape", "unknown-id"],
+    ids=["shape", "unknown-id", "missing-id"],
 )
 def test_with_normalization_refuses_what_build_scenario_refuses(m, message):
     with pytest.raises(ValueError) as err:

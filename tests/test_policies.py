@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     all_ones_realization,
     random_instance,
+    reference_draw,
     single_edge_instance,
     two_recipient_instance,
     two_step_rate_instance,
@@ -232,21 +233,6 @@ def test_plan_ignores_mass_on_impossible_cells():
         assert (nadaplp_plan(s, 0.0, 1.0, rng, lp=lp) == -1).all()
 
 
-def reference_draw(s, probs, uniforms):
-    """The categorical draw walked cell by cell: the first edge whose running
-    total exceeds the cell's number, else -1."""
-    out = np.full(uniforms.shape, -1, dtype=np.int64)
-    for cell in np.ndindex(uniforms.shape):
-        u, t = cell[-2:]
-        total = 0.0
-        for e in s.donor_edges[u]:
-            total = total + probs[e, t]
-            if uniforms[cell] < total:
-                out[cell] = e
-                break
-    return out
-
-
 def test_a_batched_plan_draw_is_the_cell_by_cell_categorical_walk():
     # u0's first edge has probability 0 at every step, u1's mass stays below
     # one, u2 has no edges. Dyadic probabilities make the running totals
@@ -272,15 +258,23 @@ def test_a_batched_plan_draw_is_the_cell_by_cell_categorical_walk():
     uniforms[2, :, 1] = [0.5, 0.25, 0.5]
     uniforms[3, :, 2] = [0.125, 0.375, 0.125]
     uniforms[4, :, :] = np.nextafter(1.0, 0.0)
-    got = _draw_assignment(s, probs, uniforms)
+    # K = 1 schedules every cell; a plan draw takes them flat, and any subset
+    # of them, in any order, must land each cell where the walk does.
+    cells = np.arange(3 * T)
+    got = _draw_assignment(s, probs, uniforms.reshape(n, -1), cells).reshape(n, 3, T)
     want = reference_draw(s, probs, uniforms)
     assert np.array_equal(got, want)
+    some = np.array([7, 0, 4, 5])
+    assert np.array_equal(
+        _draw_assignment(s, probs, uniforms.reshape(n, -1)[:, some], some),
+        want.reshape(n, -1)[:, some],
+    )
     assert got[0, :, 0].tolist() == [1, 3, -1]
     assert got[1, :, 0].tolist() == [2, 4, -1]
     assert got[2, :, 1].tolist() == [2, -1, -1]
     assert got[3, :, 2].tolist() == [2, -1, -1]
     assert (got[:, 1] == -1).any() and (got[:, 2] == -1).all() and (got[:, 0] >= 1).all()
-    assert np.array_equal(_draw_assignment(s, probs, uniforms[5]), want[5])
+    assert np.array_equal(_draw_assignment(s, probs, uniforms[5].ravel(), cells), want[5].ravel())
     bare = build_scenario(
         donors=[Donor("u", 0.0, 0.0)],
         recipients=[Recipient("v", 0.0, 0.0)],
@@ -291,8 +285,8 @@ def test_a_batched_plan_draw_is_the_cell_by_cell_categorical_walk():
         rate_limit=1,
     )
     assert bare.donor_edge_table.shape == (1, 0)
-    empty = _draw_assignment(bare, np.zeros((0, T)), rng.random((n, 1, T)))
-    assert empty.shape == (n, 1, T) and (empty == -1).all()
+    empty = _draw_assignment(bare, np.zeros((0, T)), rng.random((n, T)), np.arange(T))
+    assert empty.shape == (n, T) and (empty == -1).all()
 
 
 def test_optimal_nonadaptive_plan_splits_evenly_at_full_fairness():

@@ -11,6 +11,7 @@ from conftest import (
     all_ones_realization,
     random_instance,
     random_realization,
+    reference_draw,
     single_edge_instance,
     two_recipient_instance,
 )
@@ -29,11 +30,13 @@ from donormatch import simulate
 from donormatch.policies import (
     PolicySpec,
     _match_edges,
+    decision_cells,
     default_alpha,
     estimate_beta,
     nadaplp_plan,
     nadaplp_rate_plan,
     nadapopt_plan,
+    plan_probabilities,
 )
 from donormatch.simulate import (
     _CTR_DECIDE,
@@ -119,8 +122,20 @@ def test_run_policy_is_deterministic_in_the_generator_state():
         assert np.array_equal(a.outcome.matched, b.outcome.matched)
 
 
+def decided_cells(s, mode):
+    """(U, T) booleans: the cells a trial may decide, every cell in rate mode."""
+    return s.donor_schedule != 0 if mode == MODE_FIXED else np.ones(s.donor_schedule.shape, bool)
+
+
 def reference_matches(s, policy, avail, plan, uniforms):
-    """The decision rules read cell by cell: (U, T) matched edge indices."""
+    """The decision rules read cell by cell: (U, T) matched edge indices.
+
+    ``plan`` is (U, T). ``uniforms`` is (cells, 2): counting the cells the
+    mode may decide donor by donor, each over its steps, the i-th reads
+    row i.
+    """
+    decided = decided_cells(s, policy.mode)
+    row = np.cumsum(decided).reshape(decided.shape) - 1
     coin = {"rand": 1.0, "max": 0.0}.get(policy.kind, policy.gamma)
     next_free = np.zeros(s.n_donors, dtype=np.int64)
     matched = np.full((s.n_donors, s.horizon), -1, dtype=np.int64)
@@ -135,10 +150,11 @@ def reference_matches(s, policy, avail, plan, uniforms):
                 e = -1
                 up = [f for f in s.donor_edges[u] if avail[s.edge_recipient[f], t]]
                 if policy.kind in ("rand", "max", "randmax", "adaptmatch") and up:
-                    if not uniforms[u, t, 0] < coin:
+                    coin_draw, pick_draw = uniforms[row[u, t]]
+                    if not coin_draw < coin:
                         best = max(s.weights[f, t] for f in up)
                         up = [f for f in up if s.weights[f, t] == best]
-                    e = up[min(int(uniforms[u, t, 1] * len(up)), len(up) - 1)]
+                    e = up[min(int(pick_draw * len(up)), len(up) - 1)]
             if e >= 0:
                 matched[u, t] = e
                 next_free[u] = t + s.rate_limit
@@ -164,7 +180,8 @@ def test_run_policy_matches_the_cell_by_cell_rules():
         for mode in (MODE_FIXED, MODE_RATE):
             for kind in kinds[mode]:
                 spec = PolicySpec(kind, gamma=0.4, mode=mode)
-                uniforms = np.random.default_rng(trial).random((s.n_donors, s.horizon, 2))
+                cells = int(decided_cells(s, mode).sum())
+                uniforms = np.random.default_rng(trial).random((cells, 2))
                 want = reference_matches(
                     s, spec, r.available, plan if spec.needs_plan else None, uniforms
                 )
@@ -209,11 +226,15 @@ def batch_instance(K):
 
 def assert_batch_matches_the_cell_by_cell_rules(K, mode, kinds):
     s, avail, uniforms, plans = batch_instance(K)
+    # The kernel reads each trial's streams over the decision cells only.
+    n, cells = len(avail), decision_cells(s, mode)
+    uniforms = uniforms.reshape(n, -1, 2)[:, cells]
     for kind in kinds:
         spec = PolicySpec(kind, gamma=0.4, mode=mode)
         plan = plans if spec.needs_plan else None
-        got = _match_edges(s, mode, kind, spec.gamma, avail, plan, uniforms)
-        for j in range(len(avail)):
+        assignment = None if plan is None else plan.reshape(n, -1)[:, cells]
+        got = _match_edges(s, mode, kind, spec.gamma, avail, assignment, uniforms)
+        for j in range(n):
             want = reference_matches(
                 s, spec, avail[j], None if plan is None else plan[j], uniforms[j]
             )
@@ -472,17 +493,24 @@ def test_each_trials_plan_is_the_samplers_draw_from_its_plan_stream():
                 )
 
 
-def test_rate_trials_match_run_policy_where_free_donors_go_unmatched(monkeypatch):
-    # With no static recipient and one to three edges a donor, a free donor
-    # can find all its edges closed: it goes unmatched and stays free, and
-    # which donors are blocked differs between trials, paths the bundled
-    # rate cities never take. Each trial of the batched kernel must still
-    # be run_policy on its own streams.
+def sparse_rate_city():
+    """city_small with no static recipient and one to three edges a donor.
+
+    A free donor can find all its edges closed: it goes unmatched and stays
+    free, and which donors are blocked differs between trials, paths the
+    bundled rate cities never take.
+    """
     cfg = dataclasses.replace(
         load_bundled_config("city_small"), static_fraction=0.0, edge_radius_km=6.0
     )
     s = generate_city(cfg)
-    s = with_normalization(s, np.ones(s.n_recipients))
+    return with_normalization(s, np.ones(s.n_recipients))
+
+
+def test_rate_trials_match_run_policy_where_free_donors_go_unmatched(monkeypatch):
+    # Each trial of the batched kernel must be run_policy on its own streams
+    # where free donors go unmatched.
+    s = sparse_rate_city()
     K = s.rate_limit
     monkeypatch.setattr(simulate, "CHUNK_CELLS", 16 * s.n_donors * s.horizon)
     rng = np.random.default_rng(33)
@@ -517,6 +545,42 @@ def test_rate_trials_match_run_policy_where_free_donors_go_unmatched(monkeypatch
             unmatched_free += int((~blocked & (got.matched < 0)).sum())
             blocking.add(blocked.tobytes())
         assert unmatched_free > 0 and len(blocking) > 1, policy.kind
+
+
+def test_rate_trials_read_their_streams_as_full_donor_by_step_blocks(monkeypatch):
+    # Rate-limited decision cells are every (donor, step) in C order, so a
+    # rate trial reads what it would read from its streams drawn as (U, T, 2)
+    # and (U, T) blocks: cell (u, t) takes entry [u, t], and rate-mode outputs
+    # do not depend on how fixed-time cells are laid out.
+    s = sparse_rate_city()
+    U, T = s.n_donors, s.horizon
+    monkeypatch.setattr(simulate, "CHUNK_CELLS", 8 * U * T)
+    lp = solve_ratelimit_lp(s, 0.5)
+    alpha = default_alpha(s, MODE_RATE)
+    beta = estimate_beta(s, 0.5, alpha, lp=lp)
+    probs = plan_probabilities(s, "nadaplp_rate", lp, alpha, beta)
+    rng = np.random.default_rng(34)
+    trials = 19  # two full chunks and a partial one
+    for policy in (
+        PolicySpec("rand", mode=MODE_RATE),
+        PolicySpec("max", mode=MODE_RATE),
+        PolicySpec("randmax", gamma=0.5, mode=MODE_RATE),
+        PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE),
+    ):
+        seed = int(rng.integers(1 << 30))
+        agg = monte_carlo_evaluate(
+            s, policy, trials, realization_mode="resampled",
+            rng=np.random.default_rng(seed), lp=lp, beta=beta, keep_trials=True,
+        )
+        keys = _trial_key(np.random.default_rng(seed), trials)
+        for j, key in enumerate(keys):
+            avail = draw_realization(s, _stream(key, _CTR_REALIZATION)).available
+            plan = None
+            if policy.needs_plan:
+                plan = reference_draw(s, probs, _stream(key, _CTR_PLAN).random((U, T)))
+            uniforms = _stream(key, _CTR_DECIDE).random((U, T, 2))
+            want = reference_matches(s, policy, avail, plan, uniforms.reshape(U * T, 2))
+            assert np.array_equal(agg.trials[j].outcome.matched, want), (policy.kind, j)
 
 
 @pytest.mark.parametrize("realization_mode", ["resampled", "fixed"])
