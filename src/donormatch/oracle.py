@@ -3,9 +3,13 @@
 Everything here trades exponential time for being checkable by hand:
 matchings are enumerated outright and policy expectations are computed
 in closed form, so the fast implementations can be tested against
-results that cannot be subtly wrong in the same way twice. Instances
-beyond the enumeration bounds raise instead of truncating; a silently
-approximate reference would defeat the point.
+results that cannot be subtly wrong in the same way twice. A plan
+policy's pre-match probabilities are not re-derived: they come from
+``policies.plan_probabilities``, as in the simulator, and what the oracle
+checks independently is the expectation over the plan draw, the
+decisions and the blocking. Instances beyond the enumeration bounds raise
+instead of truncating; a silently approximate reference would defeat the
+point.
 """
 
 from __future__ import annotations
@@ -21,13 +25,8 @@ from .graph import (
     Edge,
     Scenario,
 )
-from .policies import VALIDITY_TOL, PolicySpec, _over_availability, default_alpha, estimate_beta
-from .solver import (
-    _check_inputs,
-    solve_fixedtime_lp,
-    solve_nadapopt_lp,
-    solve_ratelimit_lp,
-)
+from .policies import PolicySpec, _check_plan, plan_probabilities
+from .solver import _check_inputs
 
 MAX_SLOTS = 8
 MAX_CHOICES = 6
@@ -202,9 +201,9 @@ def brute_force_policy_expectation(
     The expectation runs over the policy's own randomness: decision draws
     for the myopic kinds, the plan draw for plan-based kinds when no
     concrete plan is given. Pass ``plan``, a (U, T) array of pre-matched
-    edge indices, to condition on one drawn plan instead. The rate-limited
-    rounding kind takes ``beta``, the (U, T) free probabilities, from
-    ``estimate_beta`` on the relaxation it solves unless one is given.
+    edge indices, to condition on one drawn plan instead. Otherwise the
+    pre-match probabilities are ``plan_probabilities(s, policy, beta=beta)``,
+    solved afresh on each call.
     """
     if s.n_donors * s.horizon * max(s.rate_limit, 1) > MAX_STATES:
         raise EnumerationError(
@@ -215,8 +214,10 @@ def brute_force_policy_expectation(
     ey = np.zeros(s.n_recipients)
 
     pi = None
-    if policy.needs_plan and plan is None:
-        pi = _plan_distribution(s, policy, beta)
+    if plan is not None:
+        plan = _check_plan(s, plan)
+    elif policy.needs_plan:
+        pi = plan_probabilities(s, policy, beta=beta)
 
     for ui in range(s.n_donors):
         if policy.mode == MODE_FIXED:
@@ -332,38 +333,3 @@ def _add_rate_walk_expectation(s, policy, avail, ey, ui, plan, pi):
         else:
             nxt[0] += free * q
         state = nxt
-
-
-def _plan_distribution(
-    s: Scenario, policy: PolicySpec, beta: Optional[np.ndarray]
-) -> np.ndarray:
-    """Per-cell pre-match probabilities, mirroring the plan samplers.
-
-    Raises ValueError when a (donor, step) distribution's mass exceeds one
-    by more than VALIDITY_TOL: no plan can be drawn from it, and the walk
-    over remaining-block states would take a negative stay-free chance.
-    """
-    alpha = default_alpha(s, policy.mode) if policy.alpha is None else policy.alpha
-    if policy.kind == "nadaplp":
-        lp = solve_fixedtime_lp(s, policy.gamma)
-        pi = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-    elif policy.kind in ("nadapopt", "adaptmatch"):
-        lp = solve_nadapopt_lp(s, policy.gamma)
-        pi = np.clip(lp.x, 0.0, None)
-    elif policy.kind == "nadaplp_rate":
-        lp = solve_ratelimit_lp(s, policy.gamma)
-        if beta is None:
-            beta = estimate_beta(s, policy.gamma, alpha, lp=lp)
-        probs = _over_availability(s, np.clip(lp.x, 0.0, None)) * alpha
-        pi = probs / np.maximum(beta[s.edge_donor], 1e-12)
-    else:
-        raise ValueError(f"unsupported policy kind {policy.kind!r}")
-    mass = np.zeros((s.n_donors, s.horizon))
-    np.add.at(mass, s.edge_donor, pi)
-    if mass.max(initial=0.0) > 1.0 + VALIDITY_TOL:
-        ui, tau = np.unravel_index(np.argmax(mass), mass.shape)
-        raise ValueError(
-            f"{policy.kind} pre-match distribution has mass {mass[ui, tau]:.6f} > 1 "
-            f"for donor {s.donors[ui].id!r} at step {tau + 1}"
-        )
-    return pi

@@ -3,9 +3,10 @@
 Two families live here. The myopic rules (rand and max, with randmax
 mixing the two) look only at the edges available right now and answer
 one question: which edge, if any, does donor u match at step t. The
-plan-based policies commit in advance: ``plan_probabilities`` turns the
-solved relaxation of the kind (``plan_relaxation``) into per-(edge, step)
-pre-match probabilities, and a plan drawn from them is a (U, T) array
+plan-based policies commit in advance: ``plan_probabilities``, the one
+rule every caller uses, turns a plan policy and the relaxation of its
+kind (``plan_relaxation``) into per-(edge, step) pre-match
+probabilities, and a plan drawn from them is a (U, T) array
 holding the edge pre-matched for each donor and step, -1 for none. At
 run time the pre-matched edge is used exactly when its recipient shows
 up. AdaptMatch executes a plan but falls back to the myopic mixture when
@@ -169,44 +170,75 @@ def plan_relaxation(s: Scenario, kind: str, gamma: float) -> LpSolution:
 
 def plan_probabilities(
     s: Scenario,
-    kind: str,
-    lp: LpSolution,
-    alpha: float,
+    policy: PolicySpec,
+    lp: Optional[LpSolution] = None,
     beta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-(edge, step) pre-match probabilities of a plan kind, shape (E, T).
+    """Per-(edge, step) pre-match probabilities of a plan policy, shape (E, T).
 
     nadaplp pre-matches e at t with probability alpha*x*/p, nadaplp_rate
-    with alpha*x*/(beta*p), where ``beta`` is the (U, T) estimate of the
-    donor being free; nadapopt and adaptmatch use y* as it stands and
-    ignore alpha. Raises when a (donor, step) distribution's mass exceeds
-    one, which alpha = default_alpha never allows.
+    with alpha*x*/(beta*p), where ``beta`` is the (U, T) chance of the
+    donor being free (``estimate_beta`` of ``lp`` when None); nadapopt and
+    adaptmatch use y* as it stands. x* and y* come from ``lp``, solved by
+    ``plan_relaxation`` when None, and alpha is ``policy.alpha`` or
+    ``default_alpha``. Raises when a (donor, step) distribution's mass
+    exceeds one, which the default alpha never allows.
     """
+    kind = policy.kind
+    if lp is None:
+        lp = plan_relaxation(s, kind, policy.gamma)
     probs = np.clip(lp.x, 0.0, None)
     if kind in _ALPHA_KINDS:
+        alpha = default_alpha(s, policy.mode) if policy.alpha is None else policy.alpha
         probs = _over_availability(s, probs) * alpha
     if kind == "nadaplp_rate":
+        if beta is None:
+            beta = estimate_beta(s, policy.gamma, alpha, lp=lp)
         probs = probs / np.maximum(beta[s.edge_donor], 1e-12)
     mass = _mass_by_donor_step(s, probs)
     over = np.argwhere(mass > 1.0 + VALIDITY_TOL)
     if over.size:
         ui, tau = over[0]
+        hint = " (reduce alpha)" if kind in _ALPHA_KINDS else ""
         raise ValueError(
             f"{kind} pre-match distribution invalid: mass {mass[ui, tau]:.6f} > 1 "
-            f"for donor {s.donors[ui].id!r} at step {tau + 1} (reduce alpha)"
+            f"for donor {s.donors[ui].id!r} at step {tau + 1}{hint}"
         )
     return probs
 
 
-def _sample_plan(s, kind, gamma, alpha, beta, rng, lp) -> np.ndarray:
+def _sample_plan(s, policy, beta, rng, lp) -> np.ndarray:
     """A (U, T) plan from one number per decision cell, -1 off those cells."""
-    if lp is None:
-        lp = plan_relaxation(s, kind, gamma)
-    probs = plan_probabilities(s, kind, lp, alpha, beta)
-    cells = decision_cells(s, MODE_RATE if kind == "nadaplp_rate" else MODE_FIXED)
+    probs = plan_probabilities(s, policy, lp, beta)
+    cells = decision_cells(s, policy.mode)
     plan = np.full(s.n_donors * s.horizon, -1, dtype=np.int64)
     plan[cells] = _draw_assignment(s, probs, rng.random(cells.size), cells)
     return plan.reshape(s.n_donors, s.horizon)
+
+
+def _check_plan(s: Scenario, plan) -> np.ndarray:
+    """``plan`` as an array, refused unless it is a (U, T) plan of the scenario.
+
+    Each entry must be -1 or the index of an edge of that row's donor.
+    """
+    plan = np.asarray(plan)
+    if plan.shape != (s.n_donors, s.horizon):
+        raise ValueError(
+            f"plan has shape {plan.shape}, expected (donors, steps) = "
+            f"{(s.n_donors, s.horizon)}"
+        )
+    if not np.issubdtype(plan.dtype, np.integer):
+        raise ValueError(f"plan must hold integer edge indices, got dtype {plan.dtype}")
+    # Indices outside the edge range read the appended -1, no donor's row.
+    owner = np.append(s.edge_donor, -1)[np.where((plan >= 0) & (plan < s.n_edges), plan, -1)]
+    bad = (plan != -1) & (owner != np.arange(s.n_donors)[:, None])
+    if bad.any():
+        ui, tau = np.argwhere(bad)[0]
+        raise ValueError(
+            f"plan entry {plan[ui, tau]} for donor {s.donors[ui].id!r} at step "
+            f"{tau + 1} is neither -1 nor one of that donor's edges"
+        )
+    return plan
 
 
 def nadaplp_plan(
@@ -222,7 +254,7 @@ def nadaplp_plan(
     solved ``lp`` to reuse one). alpha must keep every per-(donor, step)
     distribution's total mass at or below one; alpha = 1/D always does.
     """
-    return _sample_plan(s, "nadaplp", gamma, alpha, None, rng, lp)
+    return _sample_plan(s, PolicySpec("nadaplp", gamma, alpha), None, rng, lp)
 
 
 def nadapopt_plan(
@@ -232,7 +264,7 @@ def nadapopt_plan(
     lp: Optional[LpSolution] = None,
 ) -> np.ndarray:
     """Sample a (U, T) plan from the optimal non-adaptive probabilities y*."""
-    return _sample_plan(s, "nadapopt", gamma, None, None, rng, lp)
+    return _sample_plan(s, PolicySpec("nadapopt", gamma), None, rng, lp)
 
 
 def estimate_beta(
@@ -274,7 +306,7 @@ def nadaplp_rate_plan(
     simulator skips blocked donors), beta only corrects the pre-match
     mass for the chance of being blocked.
     """
-    return _sample_plan(s, "nadaplp_rate", gamma, alpha, beta, rng, lp)
+    return _sample_plan(s, PolicySpec("nadaplp_rate", gamma, alpha, MODE_RATE), beta, rng, lp)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,11 @@ from .policies import (
     CHUNK_CELLS,
     DRAW_KINDS,
     PolicySpec,
+    _check_plan,
     _draw_assignment,
     _match_edges,
     decision_cells,
-    default_alpha,
-    estimate_beta,
     plan_probabilities,
-    plan_relaxation,
 )
 from .solver import LpSolution
 
@@ -132,14 +130,15 @@ def run_policy(
     Fixed-time mode lets a donor act exactly on its scheduled days;
     rate-limited mode lets it act whenever at least K steps have passed
     since its last match. Plan-based kinds require ``plan``, the (U, T)
-    pre-matched edge indices, of which only the decision cells
+    pre-matched edge indices (refused unless each entry is -1 or an edge of
+    its row's donor), of which only the decision cells
     (``decision_cells``) are read; rng is the trial's decision stream,
     from which the deciding kinds draw one (cells, 2) block.
     """
     if policy.needs_plan and plan is None:
         raise ValueError(f"policy {policy.kind} requires a pre-computed plan")
     cells = decision_cells(s, policy.mode)
-    plans = None if plan is None else np.asarray(plan).reshape(1, -1)[:, cells]
+    plans = None if plan is None else _check_plan(s, plan).reshape(1, -1)[:, cells]
     uniforms = None
     if policy.kind in DRAW_KINDS:
         uniforms = rng.random((cells.size, 2))[None]
@@ -220,11 +219,11 @@ def monte_carlo_evaluate(
 
     ``realization_mode="fixed"`` runs every trial on one realization (the
     one given, or a single draw); ``"resampled"`` draws a fresh one per
-    trial. Plan-based kinds solve their LP and compute its pre-match
-    probabilities once here and redraw the plan each trial; pass ``lp``
-    (and the (U, T) ``beta`` for the rate-limited rounding kind, which
-    otherwise is ``estimate_beta``'s closed form) to reuse existing
-    solutions.
+    trial. Plan-based kinds take their pre-match probabilities once, from
+    ``plan_probabilities``, and redraw the plan each trial; ``lp`` and the
+    rate-limited rounding kind's (U, T) ``beta`` are handed to it, which
+    solves the relaxation and takes ``estimate_beta``'s closed form when
+    they are None.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -235,14 +234,7 @@ def monte_carlo_evaluate(
 
     keys = _trial_key(rng, trials)
 
-    probs = None
-    if policy.needs_plan:
-        alpha = default_alpha(s, policy.mode) if policy.alpha is None else policy.alpha
-        if lp is None:
-            lp = plan_relaxation(s, policy.kind, policy.gamma)
-        if policy.kind == "nadaplp_rate" and beta is None:
-            beta = estimate_beta(s, policy.gamma, alpha, lp=lp)
-        probs = plan_probabilities(s, policy.kind, lp, alpha, beta)
+    probs = plan_probabilities(s, policy, lp, beta) if policy.needs_plan else None
 
     fixed = None
     if realization_mode == "fixed":

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import two_recipient_instance
 from donormatch.graph import Donor, Recipient, build_scenario, with_normalization
@@ -112,12 +114,19 @@ def test_gamma_of_reads_the_lp_band_it_was_solved_under():
     assert lp_gamma(0.5) >= 0.5 - 1e-9
 
 
+# The property holds when c * y is c times y. Where the product falls deep
+# into the subnormal range it is not: c = 0.5 turns [0, 5e-324] into [0, 0],
+# and c = 0.3 turns [3, 10] ulps into [1, 3]. Only those draws are skipped.
 @given(
     ys=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6),
     c=st.floats(min_value=0.01, max_value=100.0),
 )
+@example(ys=[0.0, 2.2250738585072014e-308, 10.0], c=0.01)
+@example(ys=[2.2250738585072014e-308, 10.0], c=0.01)
 @settings(max_examples=80, deadline=None)
 def test_gamma_is_scale_invariant(ys, c):
+    exact = [Fraction(c) * Fraction(y) for y in ys]
+    assume(all(abs(Fraction(c * y) - e) <= e / 10**12 for y, e in zip(ys, exact)))
     names = [f"v{i}" for i in range(len(ys))]
     m = {n: 1.0 for n in names}
     plain = gamma_of(dict(zip(names, ys)), m)

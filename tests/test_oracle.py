@@ -29,7 +29,13 @@ from donormatch.oracle import (
 )
 from donormatch.policies import PolicySpec, default_alpha, estimate_beta
 from donormatch.simulate import monte_carlo_evaluate, run_policy
-from donormatch.solver import solve_offline_opt, solve_ratelimit_lp, solve_ratelimit_opt
+from donormatch.solver import (
+    solve_fixedtime_lp,
+    solve_nadapopt_lp,
+    solve_offline_opt,
+    solve_ratelimit_lp,
+    solve_ratelimit_opt,
+)
 
 
 def square_instance(normalization=(1.0, 1.0)):
@@ -206,6 +212,52 @@ def test_rate_walk_on_a_concrete_plan_matches_the_simulator():
     np.testing.assert_allclose(sim.recipient_weight, [got["A"], got["B"]], rtol=0, atol=1e-12)
 
 
+def two_donor_plan_instance():
+    """d1 holds edges 0 and 1, d2 edges 2 and 3, three steps."""
+    return build_scenario(
+        donors=[Donor("d1", 0.0, 0.0), Donor("d2", 0.0, 0.1)],
+        recipients=[Recipient("A", 0.0, 0.0), Recipient("B", 0.1, 0.0)],
+        edges=[("d1", "A"), ("d1", "B"), ("d2", "A"), ("d2", "B")],
+        weights=[0.1, 0.2, 0.3, 0.4],
+        availability=None,
+        horizon=3,
+        rate_limit=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s, r, plan: run_policy(
+            s, PolicySpec("adaptmatch", gamma=0.5), r, np.random.default_rng(0), plan=plan
+        ),
+        lambda s, r, plan: brute_force_policy_expectation(
+            s, PolicySpec("adaptmatch", gamma=0.5), r, plan=plan
+        ),
+    ],
+    ids=["run_policy", "oracle"],
+)
+def test_a_malformed_plan_is_refused(entry):
+    s = two_donor_plan_instance()
+    r = all_ones_realization(s)
+    good = np.array([[0, 1, -1], [3, -1, 2]], dtype=np.int64)
+    entry(s, r, good)
+    entry(s, r, good.tolist())
+    with pytest.raises(ValueError, match=r"shape \(3, 2\), expected .* \(2, 3\)"):
+        entry(s, r, good.T)
+    with pytest.raises(ValueError, match=r"shape \(2, 8\)"):
+        entry(s, r, np.full((2, 8), -1))
+    with pytest.raises(ValueError, match="integer edge indices"):
+        entry(s, r, good.astype(float))
+    for u, t, e in ((0, 1, 2), (1, 0, 0), (0, 2, 4), (1, 1, -2)):
+        bad = good.copy()
+        bad[u, t] = e
+        with pytest.raises(
+            ValueError, match=rf"plan entry {e} for donor 'd{u + 1}' at step {t + 1} "
+        ):
+            entry(s, r, bad)
+
+
 def assert_close_to_monte_carlo(s, policy, r, exact, trials=4_000, seed=3, beta=None):
     agg = monte_carlo_evaluate(
         s,
@@ -283,15 +335,22 @@ def test_expectations_match_monte_carlo_for_the_rate_rounding_kind():
     assert_close_to_monte_carlo(s, spec, r, exact, beta=beta)
 
 
-def dynamic_rate_instance(rng, K):
-    """One or two donors, every recipient dynamic, at most 6 recipient-steps."""
+def dynamic_rate_instance(rng, K, staggered=False):
+    """One or two donors, every recipient dynamic, at most 6 recipient-steps.
+
+    ``staggered`` draws each donor's first notification day from 1..K, so
+    that fixed-time schedules leave some cells out.
+    """
     T = int(rng.integers(max(2, K), 5))
     V = 1 if T > 3 else int(rng.integers(1, 3))
     U = int(rng.integers(1, 3))
     edges = [(f"u{i}", f"v{j}") for i in range(U) for j in range(V) if rng.random() < 0.7]
     edges += [(f"u{i}", "v0") for i in range(U) if not any(u == f"u{i}" for u, _ in edges)]
     return build_scenario(
-        donors=[Donor(f"u{i}", 0.0, 0.0) for i in range(U)],
+        donors=[
+            Donor(f"u{i}", 0.0, 0.0, int(rng.integers(1, K + 1)) if staggered else 1)
+            for i in range(U)
+        ],
         recipients=[Recipient(f"v{j}", 0.0, 0.0, kind="dynamic") for j in range(V)],
         edges=edges,
         weights=[rng.uniform(0.05, 1.0, size=T) for _ in edges],
@@ -300,6 +359,20 @@ def dynamic_rate_instance(rng, K):
         rate_limit=K,
         normalization={f"v{j}": float(rng.uniform(0.2, 1.5)) for j in range(V)},
     )
+
+
+def expectation_over_realizations(s, spec, beta=None):
+    """E[Y_v] over the policy's draws and every realization, recipient order."""
+    got = np.zeros(s.n_recipients)
+    cells = s.n_recipients * s.horizon
+    for bits in range(1 << cells):
+        up = (bits >> np.arange(cells)).reshape(s.availability.shape) & 1
+        weight = np.where(up == 1, s.availability, 1.0 - s.availability).prod()
+        exact = brute_force_policy_expectation(
+            s, spec, DemandRealization(up.astype(np.int8)), beta=beta
+        )
+        got += weight * np.array([exact[v.id] for v in s.recipients])
+    return got
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -317,16 +390,31 @@ def test_rate_rounding_with_the_closed_form_beta_meets_its_plan_exactly(K):
             if K == 1:
                 assert (beta == 1.0).all()
             spec = PolicySpec("nadaplp_rate", gamma=gamma, mode=MODE_RATE)
-            got = np.zeros(s.n_recipients)
-            cells = s.n_recipients * s.horizon
-            for bits in range(1 << cells):
-                up = (bits >> np.arange(cells)).reshape(s.availability.shape) & 1
-                weight = np.where(up == 1, s.availability, 1.0 - s.availability).prod()
-                exact = brute_force_policy_expectation(
-                    s, spec, DemandRealization(up.astype(np.int8)), beta=beta
-                )
-                got += weight * np.array([exact[v.id] for v in s.recipients])
+            got = expectation_over_realizations(s, spec, beta)
             per_edge = alpha * (np.clip(lp.x, 0.0, None) * s.weights).sum(axis=1)
+            want = np.bincount(s.edge_recipient, per_edge, minlength=s.n_recipients)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, solve", [("nadaplp", solve_fixedtime_lp), ("nadapopt", solve_nadapopt_lp)]
+)
+def test_fixed_time_roundings_meet_their_relaxations_exactly(kind, solve):
+    # nadaplp pre-matches e at t with probability alpha * x*/p and nadapopt
+    # with y*, and the recipient is up with probability p, so E[Y_v] over the
+    # plan draw and every realization is alpha * sum x* w, or sum y* p w,
+    # over v's cells. The oracle takes the probabilities from
+    # plan_probabilities; this closed form does not.
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        s = dynamic_rate_instance(rng, int(rng.integers(1, 3)), staggered=True)
+        scale = default_alpha(s, MODE_FIXED)
+        if kind == "nadapopt":
+            scale = s.availability[s.edge_recipient]
+        for gamma in (0.0, 0.5):
+            lp = solve(s, gamma)
+            got = expectation_over_realizations(s, PolicySpec(kind, gamma=gamma))
+            per_edge = (np.clip(lp.x, 0.0, None) * scale * s.weights).sum(axis=1)
             want = np.bincount(s.edge_recipient, per_edge, minlength=s.n_recipients)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

@@ -31,10 +31,12 @@ from donormatch.policies import (
     nadaplp_rate_plan,
     nadapopt_plan,
     parse_policy,
+    plan_probabilities,
 )
 from donormatch.simulate import run_policy
 from donormatch.solver import (
     FIXEDTIME_LP,
+    NADAPOPT_LP,
     RATELIMIT_LP,
     LpSolution,
     solve_fixedtime_lp,
@@ -205,6 +207,32 @@ def test_lp_rounding_plan_rejects_overfull_mass():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match=r"donor 'u' at step 1 \(reduce alpha\)"):
         nadaplp_plan(s, 0.0, 1.2, rng, lp=lp)
+
+
+def test_lp_rounding_plans_refuse_a_negative_alpha():
+    # Both samplers build a PolicySpec, which refuses a negative alpha.
+    rng = np.random.default_rng(5)
+    s = single_edge_instance(p=0.5)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        nadaplp_plan(s, 0.0, -0.1, rng, lp=solve_fixedtime_lp(s, 0.0))
+    s = two_step_rate_instance()
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        nadaplp_rate_plan(s, 0.0, -0.1, np.ones((1, 2)), rng, lp=solve_ratelimit_lp(s, 0.0))
+
+
+def test_an_overfull_plan_without_alpha_is_refused_without_the_alpha_hint():
+    s = single_edge_instance(p=0.5)
+    lp = LpSolution(
+        kind=NADAPOPT_LP,
+        x=np.array([[1.5]]),
+        s=np.array([np.nan]),
+        a=None,
+        objective=0.0,
+        gamma=0.0,
+    )
+    for kind in ("nadapopt", "adaptmatch"):
+        with pytest.raises(ValueError, match=r"mass \d\.\d+ > 1 for donor 'u' at step 1$"):
+            plan_probabilities(s, PolicySpec(kind), lp)
 
 
 def test_lp_rounding_plan_default_alpha_is_always_valid():

@@ -558,7 +558,7 @@ def test_rate_trials_read_their_streams_as_full_donor_by_step_blocks(monkeypatch
     lp = solve_ratelimit_lp(s, 0.5)
     alpha = default_alpha(s, MODE_RATE)
     beta = estimate_beta(s, 0.5, alpha, lp=lp)
-    probs = plan_probabilities(s, "nadaplp_rate", lp, alpha, beta)
+    probs = plan_probabilities(s, PolicySpec("nadaplp_rate", gamma=0.5, mode=MODE_RATE), lp, beta)
     rng = np.random.default_rng(34)
     trials = 19  # two full chunks and a partial one
     for policy in (
