@@ -36,10 +36,9 @@ s = build_scenario(
     rate_limit=2,
 )
 
-m = estimate_normalization(s, trials=2000, rng=np.random.default_rng(0),
-                           protocol="expectation")
+m = estimate_normalization(s, protocol="expectation")
 s = with_normalization(s, m)
-print("normalization scores from the uniform-random baseline:")
+print("normalization scores, the uniform-random baseline's exact expected weights:")
 for v, mv in m.items():
     print(f"  {v}: {mv:.4f}")
 print()

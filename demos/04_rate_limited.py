@@ -37,8 +37,7 @@ s = build_scenario(
     horizon=8,
     rate_limit=3,
 )
-m = estimate_normalization(s, trials=2000, rng=np.random.default_rng(0),
-                           protocol="expectation", mode=MODE_RATE)
+m = estimate_normalization(s, protocol="expectation", mode=MODE_RATE)  # exact, not sampled
 s = with_normalization(s, m)
 print(f"instance: {s.n_donors} donors over {s.horizon} days, "
       f"at most one match per donor per {s.rate_limit} days")

@@ -40,7 +40,6 @@ from .solver import solve_fixedtime_lp, solve_offline_opt, solve_ratelimit_opt
 from . import synthgen
 
 SWEEP_GAMMAS = tuple(round(0.1 * i, 1) for i in range(11))
-NORMALIZATION_TRIALS = 100
 ORACLE_TOL = 1e-6
 
 _MODES = {"fixed": MODE_FIXED, "rate": MODE_RATE}
@@ -78,16 +77,11 @@ def _name_unscored(s: Scenario) -> None:
 
 def _ensure_normalization(s: Scenario, seed: int, mode: str) -> Scenario:
     """Attach Rand-baseline scores m_v unless the scenario already has them."""
+    # seed is unused, as the scores are exact, but stays: perfbench passes it.
     if s.normalization is not None:
         return s
-    m = estimate_normalization(
-        s,
-        trials=NORMALIZATION_TRIALS,
-        rng=np.random.default_rng([seed, 0]),
-        protocol="expectation",
-        mode=mode,
-    )
-    _info(f"estimated normalization scores from {NORMALIZATION_TRIALS} baseline trials")
+    m = estimate_normalization(s, protocol="expectation", mode=mode)
+    _info("computed exact normalization scores (Rand's expected weight per recipient)")
     return with_normalization(s, m)
 
 

@@ -156,13 +156,10 @@ class MatchingOutcome:
 
 
 def fixed_schedule(first_notify: int, horizon: int, rate_limit: int) -> np.ndarray:
-    """Materialize a donor's 0/1 schedule row from the first-notify day."""
+    """A donor's 0/1 schedule row: 1 on the days first_notify + k * rate_limit, k >= 0."""
     row = np.zeros(horizon, dtype=np.int8)
-    t = int(first_notify)
-    while t <= horizon:
-        if t >= 1:
-            row[t - 1] = 1
-        t += rate_limit
+    t = int(first_notify) - 1
+    row[max(t, t % rate_limit) :: rate_limit] = 1
     return row
 
 
@@ -265,14 +262,16 @@ def build_scenario(
         With the fixed-time schedule materialized from each donor's
         first-notify day. Semantic problems (out-of-range weights and the
         like) are left to ``validate_scenario``; structural errors (unknown
-        ids, wrong shapes or lengths, steps outside 1..T) raise ValueError
-        here.
+        ids, wrong shapes or lengths, steps outside 1..T, a rate limit
+        below 1) raise ValueError here.
     """
     donors = tuple(donors)
     recipients = tuple(recipients)
     edges = tuple((str(u), str(v)) for u, v in edges)
     T = int(horizon)
     E, V = len(edges), len(recipients)
+    if int(rate_limit) < 1:
+        raise ValueError(f"rate_limit {rate_limit} < 1")
 
     if isinstance(weights, np.ndarray):
         W = np.asarray(weights, dtype=float)

@@ -1,7 +1,8 @@
 """Time-stepped simulation driver.
 
 Runs policies over the horizon through the decision kernel in
-``policies`` and aggregates Monte Carlo statistics over trials.
+``policies`` and aggregates Monte Carlo statistics over trials; the
+normalization scores need none (``estimate_normalization`` is exact).
 
 Randomness is laid out so that runs are reproducible and trials are
 independent of evaluation order. The master generator is drawn from at
@@ -45,6 +46,7 @@ import numpy as np
 
 from .graph import (
     MODE_FIXED,
+    MODE_RATE,
     DemandRealization,
     MatchingOutcome,
     Scenario,
@@ -62,7 +64,7 @@ from .policies import (
     decision_cells,
     plan_probabilities,
 )
-from .solver import LpSolution
+from .solver import LpSolution, _realized
 
 _CTR_PLAN = 1
 _CTR_REALIZATION = 2
@@ -181,27 +183,51 @@ def estimate_normalization(
     protocol: str = "fixed",
     mode: str = MODE_FIXED,
 ) -> Dict[str, float]:
-    """Normalization scores m_v: the uniform-random policy's mean Y_v.
+    """Normalization scores m_v: the uniform-random policy's exact E[Y_v].
 
-    ``protocol="fixed"`` averages over trials on the given realization
-    (the experimental convention); ``protocol="expectation"`` redraws the
-    realization each trial, in which case r is ignored.
+    ``protocol="fixed"`` takes it on the given realization (the experimental
+    convention), ``protocol="expectation"`` over the availability as well,
+    ignoring r: one computation, with p the realization's 0/1 entries or
+    ``s.availability``. A free donor matches its edge i with probability
+    p_i E[1/(1 + X)], X counting its other open edges; that is the integral
+    over [0, 1] of prod_{j != i} (1 - p_j + p_j z), of degree below D, which
+    a D-node quadrature integrates exactly. A fixed-time donor is free on its
+    scheduled days, a rate-limited one at t with chance f_ut = 1 - sum of
+    f_us q_us over the K - 1 steps s before t, q_us being the chance that
+    some edge of u is open at s (the matches that block t fall in disjoint
+    steps). ``trials`` and ``rng`` are accepted and ignored: they fed the
+    Monte Carlo estimate this replaced.
     """
     if protocol not in ("fixed", "expectation"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "fixed" and r is None:
         raise ValueError("the fixed protocol needs the realization to hold fixed")
-    if rng is None:
-        rng = np.random.default_rng()
-    agg = monte_carlo_evaluate(
-        s,
-        PolicySpec("rand", mode=mode),
-        trials,
-        realization_mode="fixed" if protocol == "fixed" else "resampled",
-        rng=rng,
-        realization=r,
-    )
-    return dict(agg.mean_recipient_weight)
+    if mode not in (MODE_FIXED, MODE_RATE):
+        raise ValueError(f"unknown mode {mode!r}")
+    avail = s.availability if protocol == "expectation" else _realized(s, r).astype(float)
+    table = s.donor_edge_table
+    edge, real = np.maximum(table, 0), table >= 0
+    p = np.where(real[..., None], avail[s.edge_recipient[edge]], 0.0)  # (U, D, T)
+    # Fejer's first rule on [0, 1]: D interior nodes z and weights g, exact to degree D - 1.
+    n = table.shape[1]
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    j = np.arange(1, n // 2 + 1)[:, None]
+    z = (1.0 - np.cos(theta)) / 2.0
+    g = (1.0 - 2.0 * (np.cos(2 * j * theta) / (4.0 * j * j - 1.0)).sum(axis=0)) / n
+    share = np.zeros_like(p)
+    for zk, gk in zip(z, g):
+        factor = 1.0 - p + p * zk  # above 0, as zk is
+        share += gk * factor.prod(axis=1, keepdims=True) / factor
+    share *= p
+    free = s.donor_schedule.astype(float)  # f_ut; rate mode overwrites it step by step
+    if mode == MODE_RATE:
+        blocks = 1.0 - (1.0 - p).prod(axis=1)  # q_ut, times f_ut once known
+        for t in range(s.horizon):
+            free[:, t] = 1.0 - blocks[:, max(t - s.rate_limit + 1, 0) : t].sum(axis=1)
+            blocks[:, t] *= free[:, t]
+    y = (free[:, None] * share * s.weights[edge]).sum(axis=-1)[real]
+    m = np.bincount(s.edge_recipient[edge[real]], y, minlength=s.n_recipients)
+    return {v.id: float(m[i]) for i, v in enumerate(s.recipients)}
 
 
 def monte_carlo_evaluate(

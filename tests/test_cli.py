@@ -278,6 +278,16 @@ def test_run_rejects_bad_inputs(tiny, tmp_path):
     assert not (tmp_path / "zero").exists()
 
 
+@pytest.mark.parametrize("rate_limit", [0, -2])
+@pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
+def test_a_rate_limit_below_one_is_refused(command, rate_limit, tiny, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({**json.loads(tiny.read_text()), "rate_limit": rate_limit}))
+    rest = {"run": ["max", "--out-dir", str(tmp_path)], "sweep": ["--out-dir", str(tmp_path)]}
+    assert main([command, str(path), *rest.get(command, [])]) == 2
+    assert f"rate_limit {rate_limit} < 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -89,6 +89,10 @@ def test_schedule_gap_violation_flagged():
 def test_fixed_schedule_every_k_days():
     row = fixed_schedule(first_notify=3, horizon=10, rate_limit=4)
     assert np.flatnonzero(row).tolist() == [2, 6]  # t = 3, 7
+    # A first day far before 1 sets the phase only, in one step: -10**9 + k * 3
+    # first reaches 1..10 at t = 2.
+    row = fixed_schedule(first_notify=-(10**9), horizon=10, rate_limit=3)
+    assert np.flatnonzero(row).tolist() == [1, 4, 7]  # t = 2, 5, 8
 
 
 def test_donor_max_degree_cases():

@@ -28,7 +28,7 @@ from donormatch.oracle import (
     find_proportional_allocation,
 )
 from donormatch.policies import PolicySpec, default_alpha, estimate_beta
-from donormatch.simulate import monte_carlo_evaluate, run_policy
+from donormatch.simulate import estimate_normalization, monte_carlo_evaluate, run_policy
 from donormatch.solver import (
     solve_fixedtime_lp,
     solve_nadapopt_lp,
@@ -417,6 +417,43 @@ def test_fixed_time_roundings_meet_their_relaxations_exactly(kind, solve):
             per_edge = (np.clip(lp.x, 0.0, None) * scale * s.weights).sum(axis=1)
             want = np.bincount(s.edge_recipient, per_edge, minlength=s.n_recipients)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_normalization_scores_are_rands_exact_expectation(K):
+    # The closed form against the oracle, in both modes: over every
+    # realization with p the availability, and on one drawn realization with
+    # p in {0, 1}. The staggered instances give donors one or two edges, the
+    # last instance five, so the integral has degree four.
+    rng = np.random.default_rng(60 + K)
+    unused = np.random.default_rng(0)
+    before = unused.bit_generator.state
+    instances = [dynamic_rate_instance(rng, K, staggered=True) for _ in range(6)]
+    instances += [random_instance(rng, 2, 4, 2) for _ in range(3)]
+    instances.append(
+        build_scenario(
+            donors=[Donor("u", 0.0, 0.0)],
+            recipients=[Recipient(f"v{j}", 0.0, 0.0, kind="dynamic") for j in range(5)],
+            edges=[("u", f"v{j}") for j in range(5)],
+            weights=[rng.uniform(0.05, 1.0, size=2) for _ in range(5)],
+            availability={f"v{j}": rng.uniform(0.2, 1.0, size=2) for j in range(5)},
+            horizon=2,
+            rate_limit=K,
+        )
+    )
+    for s in instances:
+        r = random_realization(s, rng)
+        for mode in (MODE_FIXED, MODE_RATE):
+            spec = PolicySpec("rand", mode=mode)
+            got = estimate_normalization(s, rng=unused, protocol="expectation", mode=mode)
+            want = expectation_over_realizations(s, spec)
+            np.testing.assert_allclose(list(got.values()), want, rtol=0, atol=1e-12)
+            got = estimate_normalization(s, r=r, rng=unused, mode=mode)
+            want = brute_force_policy_expectation(s, spec, r)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+    assert unused.bit_generator.state == before
+    with pytest.raises(ValueError, match="unknown mode 'fixed'"):
+        estimate_normalization(s, protocol="expectation", mode="fixed")
 
 
 def test_rate_distribution_mode_takes_beta_from_the_relaxation_it_solves():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
 from donormatch.graph import (
     MODE_FIXED,
     MODE_RATE,
+    DemandRealization,
     Donor,
     Recipient,
     build_scenario,
@@ -687,8 +689,8 @@ def test_estimate_normalization_recovers_the_exact_scores():
     est = estimate_normalization(
         s, trials=4_000, r=all_ones_realization(s), rng=np.random.default_rng(13)
     )
-    assert abs(est["A"] - 0.45) < 0.025
-    assert abs(est["B"] - 0.5) < 0.025
+    assert est["A"] == pytest.approx(0.45, rel=0, abs=1e-12)
+    assert est["B"] == pytest.approx(0.5, rel=0, abs=1e-12)
 
 
 def test_estimate_normalization_single_recipient_equals_rand_mean():
@@ -714,8 +716,26 @@ def test_expectation_protocol_redraws_the_realization():
         rng=np.random.default_rng(16),
         protocol="expectation",
     )
-    se = np.sqrt(0.25 / 4_000)
-    assert abs(est["v"] - 0.5) < 3 * se
+    assert est["v"] == 0.5
+
+
+@pytest.mark.parametrize("mode", [MODE_FIXED, MODE_RATE])
+def test_rand_monte_carlo_meets_the_exact_scores_on_a_city(mode):
+    # The oracle cannot enumerate city_small; the closed form can. Each
+    # recipient's Monte Carlo mean lies within a Bonferroni z (0.1 % over
+    # both modes and every recipient) of its standard errors of the exact score.
+    s = generate_city(load_bundled_config("city_small"))
+    exact = estimate_normalization(s, protocol="expectation", mode=mode)
+    agg = monte_carlo_evaluate(
+        s,
+        PolicySpec("rand", mode=mode),
+        4_000,
+        realization_mode="resampled",
+        rng=np.random.default_rng(17),
+    )
+    z = NormalDist().inv_cdf(1.0 - 0.001 / (4 * s.n_recipients))
+    for v, m in exact.items():
+        assert abs(agg.mean_recipient_weight[v] - m) <= z * agg.std_err_recipient[v], v
 
 
 def test_argument_validation():
@@ -724,6 +744,8 @@ def test_argument_validation():
         estimate_normalization(s, protocol="sometimes")
     with pytest.raises(ValueError, match="realization"):
         estimate_normalization(s, protocol="fixed")
+    with pytest.raises(ValueError, match=r"realization shape \(1, 1\)"):
+        estimate_normalization(s, r=DemandRealization(np.ones((1, 1), np.int8)))
     with pytest.raises(ValueError, match="trials"):
         monte_carlo_evaluate(s, PolicySpec("rand"), 0)
     with pytest.raises(ValueError, match="realization_mode"):
