@@ -45,20 +45,29 @@ ORACLE_TOL = 1e-6
 _MODES = {"fixed": MODE_FIXED, "rate": MODE_RATE}
 
 
+class _Refusal(Exception):
+    """Input a command cannot read; ``main`` prints the message and exits 2."""
+
+
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _fmt(value) -> str:
-    return "%.9g" % float(value)
+def _refuse(prefix: str, fn, *args):
+    """fn(*args), with any error reading its input raised as a _Refusal."""
+    try:
+        return fn(*args)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
+        raise _Refusal(f"{prefix}: {err}") from err
 
 
 def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    # Only the header's recipient ids can need quoting, so the rows go through
+    # one %-format set by the first row's types: %s for strings, %.9g for numbers.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        line = ",".join("%s" if isinstance(x, str) else "%.9g" for x in rows[0]) + "\n"
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _norm_dict(s: Scenario) -> Dict[str, float]:
@@ -86,34 +95,35 @@ def _ensure_normalization(s: Scenario, seed: int, mode: str) -> Scenario:
 
 
 def _load_valid_scenario(path) -> Scenario:
-    s = load_scenario(path)
+    s = _refuse("input error", load_scenario, path)
     problems = validate_scenario(s)
     if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
+        raise _Refusal(f"input error: {path}: " + "; ".join(problems))
     return s
+
+
+def _evaluate(s: Scenario, policy: PolicySpec, trials: int, seed: int, stream: int):
+    rng = np.random.default_rng([seed, stream])
+    return monte_carlo_evaluate(s, policy, trials=trials, realization_mode="resampled", rng=rng)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# A command raises _Refusal for input it cannot read and lets any other error
+# propagate; main turns both into the exit status.
 
 
 def cmd_generate(args) -> int:
     # A name is a file by its form alone, so no file or directory in the
     # working directory can take over a bundled city's name.
-    try:
-        if os.sep in args.config or args.config.endswith(".json"):
-            cfg = synthgen.load_config(args.config)
-        else:
-            cfg = synthgen.load_bundled_config(args.config)
-        s = synthgen.generate_city(cfg)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        _info(f"config error: {err}")
-        return 2
+    bundled = os.sep not in args.config and not args.config.endswith(".json")
+    load = synthgen.load_bundled_config if bundled else synthgen.load_config
+    cfg = _refuse("config error", load, args.config)
+    s = _refuse("config error", synthgen.generate_city, cfg)
     problems = validate_scenario(s)
     if problems:
-        for p in problems:
-            _info(f"invalid scenario: {p}")
-        return 1
+        raise ValueError("invalid scenario: " + "; ".join(problems))
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "scenario.json")
     save_scenario(s, path)
@@ -126,34 +136,17 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     mode = _MODES[args.mode]
-    try:
-        s = _load_valid_scenario(args.scenario)
-        policy = parse_policy(args.policy, mode=mode)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        _info(f"input error: {err}")
-        return 2
+    s = _load_valid_scenario(args.scenario)
+    policy = _refuse("input error", parse_policy, args.policy, mode)
     s = _ensure_normalization(s, args.seed, mode)
-    try:
-        agg = monte_carlo_evaluate(
-            s,
-            policy,
-            trials=args.trials,
-            realization_mode="resampled",
-            rng=np.random.default_rng([args.seed, 1]),
-        )
-    except (ValueError, RuntimeError) as err:
-        _info(f"run failed: {err}")
-        return 1
+    agg = _evaluate(s, policy, args.trials, args.seed, 1)
 
     os.makedirs(args.out_dir, exist_ok=True)
     header = ["trial", "policy", "gamma", "total_weight"] + [v.id for v in s.recipients]
     trials_path = os.path.join(args.out_dir, "trials.csv")
-    # One %-format per row: only the header's recipient ids can need quoting.
-    row = f"%d,{policy.kind},{_fmt(policy.gamma)}" + ",%.9g" * len(header[3:]) + "\n"
     table = np.column_stack([agg.totals, agg.recipient_totals]).tolist()
-    with open(trials_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(row % (i, *r) for i, r in enumerate(table, 1))
+    rows = [[str(i), policy.kind, policy.gamma, *r] for i, r in enumerate(table, 1)]
+    _write_csv(trials_path, header, rows)
 
     _name_unscored(s)
     gamma_emp = gamma_of(agg.mean_recipient_weight, _norm_dict(s))
@@ -172,7 +165,7 @@ def cmd_run(args) -> int:
         [
             [
                 policy.kind,
-                _fmt(policy.gamma),
+                policy.gamma,
                 args.mode,
                 str(agg.trial_count),
                 agg.mean_total_weight,
@@ -205,18 +198,8 @@ def sweep_rows(
     """
     m = _norm_dict(s)
     bound0 = solve_fixedtime_lp(s, 0.0).objective
-
-    def evaluate(policy, stream):
-        return monte_carlo_evaluate(
-            s,
-            policy,
-            trials=trials,
-            realization_mode="resampled",
-            rng=np.random.default_rng([seed, stream]),
-        )
-
-    max_agg = evaluate(PolicySpec("max"), 1)
-    rand_agg = evaluate(PolicySpec("rand"), 2)
+    max_agg = _evaluate(s, PolicySpec("max"), trials, seed, 1)
+    rand_agg = _evaluate(s, PolicySpec("rand"), trials, seed, 2)
     reference = max_agg.mean_total_weight
 
     def report(agg, bound):
@@ -227,7 +210,7 @@ def sweep_rows(
         rows.append(_sweep_row(label, 0.0, report(agg, bound0)))
     for j, gamma in enumerate(gammas):
         bound = bound0 if gamma == 0.0 else solve_fixedtime_lp(s, gamma).objective
-        agg = evaluate(PolicySpec("adaptmatch", gamma=gamma), 3 + j)
+        agg = _evaluate(s, PolicySpec("adaptmatch", gamma=gamma), trials, seed, 3 + j)
         rows.append(_sweep_row("adaptmatch", gamma, report(agg, bound)))
     return rows
 
@@ -260,28 +243,19 @@ SWEEP_COLUMNS = (
 
 def cmd_sweep(args) -> int:
     if args.mode == "rate":
-        _info(
+        raise _Refusal(
             "sweep runs the fixed-time protocol only: the swept policy set "
             "(AdaptMatch over its pre-match plan) is defined for scheduled "
             "notification days"
         )
-        return 2
-    try:
-        s = _load_valid_scenario(args.scenario)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        _info(f"input error: {err}")
-        return 2
+    s = _load_valid_scenario(args.scenario)
     s = _ensure_normalization(s, args.seed, MODE_FIXED)
     _name_unscored(s)
-    try:
-        rows = sweep_rows(s, args.gammas, args.trials, args.seed)
-    except (ValueError, RuntimeError) as err:
-        _info(f"sweep failed: {err}")
-        return 1
+    rows = sweep_rows(s, args.gammas, args.trials, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "sweep.csv")
-    _write_csv(csv_path, SWEEP_COLUMNS, [[r["policy"]] + [r[c] for c in SWEEP_COLUMNS[1:]] for r in rows])
+    _write_csv(csv_path, SWEEP_COLUMNS, [[r[c] for c in SWEEP_COLUMNS] for r in rows])
     svg_path = os.path.join(args.out_dir, "sweep.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(sweep_svg(rows))
@@ -291,27 +265,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     mode = _MODES[args.mode]
-    try:
-        s = _load_valid_scenario(args.scenario)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        _info(f"input error: {err}")
-        return 2
+    s = _load_valid_scenario(args.scenario)
     if args.gamma > 0.0:
         s = _ensure_normalization(s, args.seed, mode)
     r = draw_realization(s, np.random.default_rng([args.seed, 9]))
-    solve = solve_offline_opt if mode == MODE_FIXED else solve_ratelimit_opt
     try:
         enum_obj, _ = brute_force_opt(s, r, args.gamma, mode=mode)
-        milp = solve(s, r, args.gamma)
     except EnumerationError as err:
-        _info(f"instance too large for the enumeration oracle: {err}")
-        return 2
-    except ValueError as err:
-        _info(f"input error: {err}")
-        return 2
-    except RuntimeError as err:
-        _info(f"oracle failed: {err}")
-        return 1
+        raise _Refusal(f"instance too large for the enumeration oracle: {err}") from err
+    solve = solve_offline_opt if mode == MODE_FIXED else solve_ratelimit_opt
+    milp = solve(s, r, args.gamma)
     gap = abs(enum_obj - milp.objective)
     verdict = "agree" if gap <= ORACLE_TOL else "DISAGREE"
     _info(
@@ -426,24 +389,36 @@ def sweep_svg(rows: Sequence[Dict[str, float]]) -> str:
 # argument plumbing
 
 
+def _gamma(text: str) -> float:
+    try:
+        g = float(text)
+    except ValueError:
+        g = -1.0
+    if not 0.0 <= g <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a gamma in [0, 1], got {text!r}")
+    return g
+
+
 def _parse_gammas(text: str) -> List[float]:
-    try:
-        out = [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        out = []
-    if not out or not all(0.0 <= g <= 1.0 for g in out):
+    pieces = [piece for piece in text.split(",") if piece.strip()]
+    if not pieces:
         raise argparse.ArgumentTypeError(f"expected comma-separated gammas in [0, 1], got {text!r}")
-    return out
+    return [_gamma(piece) for piece in pieces]
 
 
-def _trial_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return n
+def _at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -451,7 +426,7 @@ def _parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out-dir", default=".", help="directory for output files")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="master random seed")
+    seeded.add_argument("--seed", type=_at_least(0), default=0, help="master random seed")
     seeded.add_argument(
         "--mode",
         choices=("fixed", "rate"),
@@ -459,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
         help="notification protocol: fixed-time schedule or rate limit",
     )
     sampled = argparse.ArgumentParser(add_help=False, parents=[seeded, out])
-    sampled.add_argument("--trials", type=_trial_count, default=50, help="Monte Carlo trials")
+    sampled.add_argument("--trials", type=_at_least(1), default=50, help="Monte Carlo trials")
 
     parser = argparse.ArgumentParser(
         prog="donormatch",
@@ -502,17 +477,25 @@ def _parser() -> argparse.ArgumentParser:
         help="cross-check the optimizer against enumeration on a small scenario",
     )
     p.add_argument("scenario", help="scenario JSON path")
-    p.add_argument("--gamma", type=float, default=0.5, help="proportionality target")
+    p.add_argument("--gamma", type=_gamma, default=0.5, help="proportionality target")
     p.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand: exit 0 on success, 2 on a refusal, 1 on a failure."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on malformed arguments
         return exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as err:
+        _info(str(err))
+        return 2
+    except (OSError, ValueError, RuntimeError) as err:
+        _info(f"{args.command} failed: {err}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ class PolicySpec:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.alpha is not None and self.kind not in _ALPHA_KINDS:
             raise ValueError(f"{self.kind} takes no alpha")
-        if self.alpha is not None and self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.alpha is not None and not 0.0 <= self.alpha < np.inf:  # refuses NaN too
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if self.mode not in (MODE_FIXED, MODE_RATE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind == "nadaplp_rate" and self.mode != MODE_RATE:

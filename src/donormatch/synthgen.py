@@ -65,33 +65,43 @@ class GeneratorConfig:
 
 
 def validate_config(cfg: GeneratorConfig) -> None:
-    """Raise ValueError on the first config invariant violation."""
-    if cfg.donor_count < 1 or cfg.recipient_count < 1:
+    """Raise ValueError on the first config invariant violation.
+
+    Every number must be finite: each check is written so that NaN fails it.
+    """
+    if not (cfg.donor_count >= 1 and cfg.recipient_count >= 1):
         raise ValueError("donor_count and recipient_count must be at least 1")
-    if cfg.edge_radius_km <= 0:
-        raise ValueError(f"edge_radius_km must be > 0, got {cfg.edge_radius_km}")
+    if not 0.0 < cfg.edge_radius_km < math.inf:
+        raise ValueError(f"edge_radius_km must be finite and > 0, got {cfg.edge_radius_km}")
     lo, hi = cfg.w0_range
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"w0_range must be ordered within [0, 1], got {cfg.w0_range}")
-    if not cfg.decay_set or any(k <= 0 for k in cfg.decay_set):
-        raise ValueError(f"decay_set needs positive entries, got {cfg.decay_set}")
+    if not cfg.decay_set or not all(0.0 < k < math.inf for k in cfg.decay_set):
+        raise ValueError(f"decay_set needs finite positive entries, got {cfg.decay_set}")
     if not 0.0 <= cfg.static_fraction <= 1.0:
         raise ValueError(f"static_fraction must lie in [0, 1], got {cfg.static_fraction}")
     for name in ("availability_low", "availability_high"):
         p = getattr(cfg, name)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if cfg.mean_run_length <= 0:
-        raise ValueError(f"mean_run_length must be > 0, got {cfg.mean_run_length}")
-    if cfg.horizon < 1 or cfg.rate_limit < 1:
+    if not 0.0 < cfg.mean_run_length < math.inf:
+        raise ValueError(f"mean_run_length must be finite and > 0, got {cfg.mean_run_length}")
+    if not (cfg.horizon >= 1 and cfg.rate_limit >= 1):
         raise ValueError("horizon and rate_limit must be at least 1")
     if isinstance(cfg.population, UniformDisc):
-        if cfg.population.radius_km <= 0:
-            raise ValueError("uniform disc radius must be > 0")
+        disc = cfg.population
+        if not 0.0 < disc.radius_km < math.inf:
+            raise ValueError(f"uniform disc radius must be finite and > 0, got {disc.radius_km}")
+        if not math.isfinite(disc.center_lat) or not math.isfinite(disc.center_lon):
+            raise ValueError(
+                f"uniform disc center must be finite, got ({disc.center_lat}, {disc.center_lon})"
+            )
         return
     grid = np.asarray(cfg.population, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 3 or grid.shape[0] == 0:
         raise ValueError(f"population grid must be (N, 3), got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("population grid must hold finite numbers only")
     if np.any(grid[:, 2] < 0) or grid[:, 2].sum() <= 0:
         raise ValueError("population grid weights must be nonnegative with a positive sum")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import math
 import re
 import warnings
 
@@ -118,10 +119,12 @@ def test_a_subcommand_refuses_the_flags_it_does_not_read(argv, tiny, tmp_path, c
          "rate_limit": 1, "normalisation": {}},
         {"donors": [], "recipients": [{"id": "A"}, {"id": "B"}], "edges": [], "weights": [],
          "horizon": 1, "rate_limit": 1, "normalization": {"A": 1.0}},
+        {"donors": [], "recipients": [], "edges": [], "weights": [], "horizon": math.inf,
+         "rate_limit": 1},
     ],
     ids=[
         "missing-keys", "null-horizon", "unknown-donor-key", "unknown-top-level-key",
-        "partial-score-map",
+        "partial-score-map", "infinite-horizon",
     ],
 )
 @pytest.mark.parametrize(
@@ -142,6 +145,40 @@ def test_a_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"donor_count": None, "recipient_count": 2, "population": disc}))
     assert main(["generate", str(path), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+CITY = {
+    "donor_count": 6,
+    "recipient_count": 4,
+    "population": {"uniform_disc": {"center": [41.3, -79.5], "radius_km": 5.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"edge_radius_km": math.nan},
+        {"edge_radius_km": math.inf},
+        {"decay_set": [10.0, math.nan]},
+        {"donor_count": math.inf},
+        {"seed": math.inf},
+        {"population": {"uniform_disc": {"center": [41.3, -79.5], "radius_km": math.nan}}},
+        {"population": {"uniform_disc": {"center": [math.nan, -79.5], "radius_km": 5.0}}},
+        {"population": {"grid": "nan.csv"}},
+    ],
+    ids=[
+        "edge-radius-nan", "edge-radius-inf", "decay-nan", "donor-count-inf", "seed-inf",
+        "disc-radius-nan", "disc-center-nan", "grid-nan",
+    ],
+)
+def test_a_non_finite_config_number_is_a_config_error(overrides, tmp_path, capsys):
+    (tmp_path / "nan.csv").write_text("lat,lon,weight\n41.3,-79.5,1\nnan,-79.4,1\n")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**CITY, **overrides}))  # json writes bare NaN and Infinity
+    assert main(["generate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +323,55 @@ def test_a_rate_limit_below_one_is_refused(command, rate_limit, tiny, tmp_path, 
     rest = {"run": ["max", "--out-dir", str(tmp_path)], "sweep": ["--out-dir", str(tmp_path)]}
     assert main([command, str(path), *rest.get(command, [])]) == 2
     assert f"rate_limit {rate_limit} < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy, mode", [("nadaplp:alpha=nan", "fixed"),
+                                          ("nadaplp_rate:alpha=inf", "rate")])
+def test_a_non_finite_alpha_is_an_input_error(policy, mode, tiny, tmp_path, capsys):
+    argv = ["run", str(tiny), policy, "--mode", mode, "--trials", "3"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: alpha must be")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "{tiny}", "max", "--seed", "-1", "--out-dir", "{out}"], "--seed"),
+        (["sweep", "{tiny}", "--seed", "-1", "--out-dir", "{out}"], "--seed"),
+        (["oracle", "{tiny}", "--seed", "-1"], "--seed"),
+        (["oracle", "{tiny}", "--gamma", "1.5"], "--gamma"),
+        (["oracle", "{tiny}", "--gamma", "-0.1"], "--gamma"),
+        (["oracle", "{tiny}", "--gamma", "nan"], "--gamma"),
+    ],
+    ids=["run-seed", "sweep-seed", "oracle-seed", "gamma-above", "gamma-below", "gamma-nan"],
+)
+def test_a_numeric_flag_out_of_range_is_refused_by_the_parser(argv, flag, tiny, tmp_path, capsys):
+    argv = [a.format(tiny=tiny, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 2
+    assert f"error: argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "city_small"],
+        ["run", "{tiny}", "rand", "--trials", "3"],
+        ["sweep", "{tiny}", "--gammas", "0", "--trials", "3"],
+    ],
+    ids=["generate", "run", "sweep"],
+)
+def test_an_unusable_out_dir_fails_in_one_line(command, tiny, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    argv = [a.format(tiny=tiny) for a in command] + ["--out-dir", str(taken)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith(f"{command[0]} failed:")]) == 1
+    assert not any(line.startswith("Traceback") for line in err)
+    assert taken.read_text() == "a file, not a directory"
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,21 @@ def test_parse_skips_empty_items():
     assert got == PolicySpec("nadaplp", gamma=0.5, alpha=0.1)
 
 
+@pytest.mark.parametrize(
+    "text, mode",
+    [
+        ("nadaplp:alpha=nan", "fixed"),
+        ("nadaplp:alpha=inf", "fixed"),
+        ("nadaplp_rate:alpha=nan", MODE_RATE),
+        ("nadaplp_rate:alpha=inf,gamma=0.5", MODE_RATE),
+    ],
+)
+def test_parse_refuses_a_non_finite_alpha(text, mode):
+    # NaN would make every pre-match probability NaN and pass the mass check.
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        parse_policy(text, mode=mode)
+
+
 def test_parse_rejects_malformed_strings():
     with pytest.raises(ValueError, match="unknown policy"):
         parse_policy("greedy")

@@ -129,6 +129,17 @@ def test_profile_run_lengths_match_the_resampled_poisson():
         (dict(availability_high=1.2), "availability_high"),
         (dict(mean_run_length=0.0), "mean_run_length"),
         (dict(horizon=0), "at least 1"),
+        (dict(edge_radius_km=math.nan), "edge_radius_km"),
+        (dict(edge_radius_km=math.inf), "edge_radius_km"),
+        (dict(decay_set=(5.0, math.nan)), "decay_set"),
+        (dict(decay_set=(math.inf,)), "decay_set"),
+        (dict(mean_run_length=math.nan), "mean_run_length"),
+        (dict(donor_count=math.nan), "at least 1"),
+        (dict(rate_limit=math.nan), "at least 1"),
+        (dict(population=UniformDisc(41.3, -79.5, math.nan)), "radius"),
+        (dict(population=UniformDisc(math.nan, -79.5, 8.0)), "center"),
+        (dict(population=np.array([[41.3, -79.5, 1.0], [math.nan, -79.4, 1.0]])), "finite"),
+        (dict(population=np.array([[41.3, -79.5, 1.0], [41.3, -79.4, math.inf]])), "finite"),
     ],
 )
 def test_config_invariant_violations_raise(overrides, message):
