@@ -194,6 +194,17 @@ def _step_row(
     return arr
 
 
+def integer_field(value, what: str) -> int:
+    """An int, or a float with an integral value such as 30.0, as an int.
+
+    A bool, a fraction or any other type raises ValueError naming ``what``.
+    """
+    whole = isinstance(value, float) and value.is_integer()
+    if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _refuse_unknown(keys, known, what: str) -> None:
     """Raise ValueError "<what> [...]" naming the ``keys`` not in ``known``."""
     unknown = set(keys) - set(known)
@@ -281,9 +292,12 @@ def build_scenario(
         specs = list(weights)
         if len(specs) != E:
             raise ValueError(f"{len(specs)} weight entries for {E} edges")
-        W = np.empty((E, T), dtype=float)
-        for e, spec in enumerate(specs):
-            W[e] = _step_row(spec, T, None, "weight", f"edge {edges[e]}")
+        if all(isinstance(spec, (int, float)) for spec in specs):  # one constant per edge
+            W = np.repeat(np.array(specs, dtype=float)[:, None], T, axis=1)
+        else:
+            W = np.empty((E, T), dtype=float)
+            for e, spec in enumerate(specs):
+                W[e] = _step_row(spec, T, None, "weight", f"edge {edges[e]}")
 
     if isinstance(availability, np.ndarray):
         P = np.asarray(availability, dtype=float)
@@ -394,30 +408,32 @@ def validate_scenario(s: Scenario) -> List[str]:
             f"availability {s.availability[vi, tc]:g} outside [0, 1] for "
             f"recipient {s.recipients[vi].id} at t={tc + 1}"
         )
-    for i, rec in enumerate(s.recipients):
-        if rec.kind == STATIC and not np.all(s.availability[i] == 1.0):
-            out.append(f"static recipient {rec.id} has availability below 1")
+    static = np.array([rec.kind == STATIC for rec in s.recipients], dtype=bool)
+    for i in np.flatnonzero(static & ~(s.availability == 1.0).all(axis=1)):
+        out.append(f"static recipient {s.recipients[i].id} has availability below 1")
 
-    for i, d in enumerate(s.donors):
-        row = s.donor_schedule[i]
-        if not np.all((row == 0) | (row == 1)):
+    # Whole-array tests find the offending donors; only they get a message.
+    A = s.donor_schedule
+    binary = ((A == 0) | (A == 1)).all(axis=1)
+    du, dt = np.nonzero(A)  # each donor's days, in order
+    uneven = np.zeros(len(s.donors), dtype=bool)
+    uneven[du[1:][(du[1:] == du[:-1]) & (np.diff(dt) != s.rate_limit)]] = True
+    for i in np.flatnonzero(~binary | uneven):
+        d = s.donors[i]
+        if not binary[i]:
             out.append(f"donor {d.id} schedule has entries outside {{0, 1}}")
-            continue
-        ts = np.flatnonzero(row) + 1
-        if ts.size >= 2 and not np.all(np.diff(ts) == s.rate_limit):
-            out.append(
-                f"donor {d.id} schedule gaps {np.diff(ts).tolist()} differ from K={s.rate_limit}"
-            )
+        else:
+            gaps = np.diff(np.flatnonzero(A[i])).tolist()
+            out.append(f"donor {d.id} schedule gaps {gaps} differ from K={s.rate_limit}")
 
     if s.normalization is not None:
-        if s.normalization.shape != (len(s.recipients),):
-            out.append(f"normalization has shape {s.normalization.shape}")
+        m = s.normalization
+        if m.shape != (len(s.recipients),):
+            out.append(f"normalization has shape {m.shape}")
         else:
-            for i, rec in enumerate(s.recipients):
-                if not s.normalization[i] >= 0:
-                    out.append(
-                        f"normalization {s.normalization[i]:g} is not >= 0 for recipient {rec.id}"
-                    )
+            for i in np.flatnonzero(~(m >= 0)):
+                rec = s.recipients[i]
+                out.append(f"normalization {m[i]:g} is not >= 0 for recipient {rec.id}")
     return out
 
 
@@ -582,7 +598,9 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             id=str(d["id"]),
             lat=float(d.get("lat", 0.0)),
             lon=float(d.get("lon", 0.0)),
-            first_notify=int(d.get("first_notify", 1)),
+            first_notify=integer_field(
+                d.get("first_notify", 1), f"donor {d['id']!r} first_notify"
+            ),
         )
         for d in doc["donors"]
     ]
@@ -601,8 +619,8 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
         edges=[tuple(e) for e in doc["edges"]],
         weights=doc["weights"],
         availability=doc.get("availability") or {},
-        horizon=int(doc["horizon"]),
-        rate_limit=int(doc["rate_limit"]),
+        horizon=integer_field(doc["horizon"], "horizon"),
+        rate_limit=integer_field(doc["rate_limit"], "rate_limit"),
         normalization=doc.get("normalization"),
     )
 

@@ -15,8 +15,11 @@ never from a dense A:
 
 - P Theta P' is block diagonal by donor, and entry (r1, r2) of a block is
   the donor's per-step Theta mass summed over the steps both windows share.
-  Width-1 windows share nothing, so there the blocks are diagonal. One
-  batched Cholesky factors the (U, T, T) stack.
+  Width-1 windows share nothing, so there the blocks are diagonal, and
+  each cell lies in exactly one row: the solve reads that row of each
+  cell off the window incidence once, and P x, P'y and the diagonal are
+  then one bincount or one gather each. At width K one batched Cholesky
+  factors the (U, T, T) stack.
 - The band rows go through a dense Schur complement of at most 2V rows.
   Their coupling to the packing rows, P Theta Q', is summed over the
   (row, cell) incidence of the windows.
@@ -133,14 +136,18 @@ class _WindowLp:
 
     def __init__(self, s, ce, ct, cost, ub, width, window, q, v, nb, gamma):
         self.U, self.T, self.width = s.n_donors, s.horizon, width
-        self.donor, self.step = s.edge_donor[ce], ct
-        self.cell = self.donor * self.T + ct
-        self.ru, self.rt, self.rows, self.cols = window
-        self.nc, self.m0 = ce.size, self.ru.size
+        ru, rt, self.rows, self.cols = window
+        # Flat (donor, step) indices of each cell and of each row's last step.
+        self.cell, self.ends = s.edge_donor[ce] * self.T + ct, ru * self.T + rt
+        self.nc, self.m0 = ce.size, ru.size
         self.c, self.hi = cost, ub
-        if width > 1:
-            widest = np.zeros((self.U, self.T), dtype=bool)
-            widest[self.ru, self.rt] = True
+        if width == 1:  # each cell lies in exactly one row
+            self.row = np.empty(self.nc, dtype=self.rows.dtype)
+            self.row[self.cols] = self.rows
+        else:
+            widest = np.zeros(self.U * self.T, dtype=bool)
+            widest[self.ends] = True
+            widest = widest.reshape(self.U, self.T)
             self.pairs = widest[:, :, None] & widest[:, None, :]
             self.lone = (~widest).astype(float)
         # The band rows put coefficient e_i on s_v and f_i on L.
@@ -150,8 +157,15 @@ class _WindowLp:
         else:  # s_v - L = 0
             self.e, self.f, ineq = np.array([1.0]), np.array([-1.0]), False
         band = self.e.size * nb
+        # Rows are the packing rows, then the band's; the first nin are inequalities.
+        self.m, self.nin = self.m0 + band, self.m0 + band * ineq
         self.b = np.concatenate([np.ones(self.m0), np.zeros(band)])
-        self.ineq = np.concatenate([np.ones(self.m0, dtype=bool), np.full(band, ineq)])
+        self.y_floor = np.where(np.arange(self.m) < self.nin, 0.0, -np.inf)
+        if nb:
+            self.row_recipient = self.rows * nb + v[self.cols]  # flat, per incidence
+            self.ee = np.outer(self.e, self.e)[:, :, None, None]
+            self.ff = np.outer(self.f, self.f)[:, :, None, None]
+            self.s_diag = np.diag_indices(band)
 
     # -- operators ---------------------------------------------------------
 
@@ -159,67 +173,85 @@ class _WindowLp:
         """(U, T) sums of a per-cell array over each donor's cells of a step."""
         return np.bincount(self.cell, xc, minlength=self.U * self.T).reshape(self.U, self.T)
 
-    def _sums(self, mass: np.ndarray) -> np.ndarray:
-        """Sums over the windows ending at each step, along the last axis.
+    def _sums(self, mass: np.ndarray, ahead: bool = False) -> np.ndarray:
+        """Sums over the windows ending at each step, or starting there if ``ahead``.
 
         Added term by term: late in a solve Theta spans twenty orders of
         magnitude, and a difference of prefix sums would lose the windows
-        that hold only small terms. Width 1 returns ``mass`` itself.
+        that hold only small terms.
         """
-        if self.width == 1:
-            return mass
         out = mass.copy()
         for j in range(1, min(self.width, self.T)):
-            out[..., j:] += mass[..., :-j]
+            if ahead:
+                out[:, :-j] += mass[:, j:]
+            else:
+                out[:, j:] += mass[:, :-j]
         return out
 
+    def _per_row(self, xc: np.ndarray) -> np.ndarray:
+        """Sums of a per-cell array over each row's cells."""
+        if self.width == 1:
+            return np.bincount(self.row, xc, minlength=self.m0)
+        return np.take(self._sums(self._mass(xc)), self.ends)
+
     def mul(self, x: np.ndarray) -> np.ndarray:
-        rows = self._sums(self._mass(x[: self.nc]))[self.ru, self.rt]
+        rows = self._per_row(x[: self.nc])
         if not self.nb:
             return rows
+        out = np.empty(self.m)
+        out[: self.m0] = rows
+        band = out[self.m0 :].reshape(self.e.size, self.nb)
         sv = np.bincount(self.v, self.q * x[: self.nc], minlength=self.nb)
-        band = np.outer(self.e, sv) + np.outer(self.f, np.full(self.nb, x[self.nc]))
-        return np.concatenate([rows, band.ravel()])
+        np.multiply(self.e[:, None], sv, out=band)
+        band += self.f[:, None] * x[self.nc]
+        return out
 
     def tmul(self, y: np.ndarray) -> np.ndarray:
-        back = np.zeros((self.U, self.T))
-        back[self.ru, self.rt] = y[: self.m0]
-        cells = self._sums(back[:, ::-1])[:, ::-1][self.donor, self.step]
+        if self.width == 1:
+            cells = y[self.row]
+        else:
+            back = np.zeros(self.U * self.T)
+            back[self.ends] = y[: self.m0]
+            cells = np.take(self._sums(back.reshape(self.U, self.T), ahead=True), self.cell)
         if not self.nb:
             return cells
         yb = y[self.m0 :].reshape(self.e.size, self.nb)
-        cells = cells + self.q * (self.e @ yb)[self.v]
-        return np.append(cells, self.f @ yb.sum(axis=1))
+        out = np.empty(self.nc + 1)
+        np.add(cells, self.q * (self.e @ yb)[self.v], out=out[: self.nc])
+        out[self.nc] = self.f @ yb.sum(axis=1)
+        return out
 
     # -- normal equations --------------------------------------------------
 
     def _packing_solver(self, theta: np.ndarray, extra: np.ndarray):
         """z -> (P Theta P' + diag(extra))^-1 z for z of shape (rows, k)."""
-        mass = self._mass(theta)
         if self.width == 1:
-            d = mass[self.ru, self.rt] + extra
+            d = self._per_row(theta) + extra
             return lambda r: r / d[:, None]
-        # Windows ending at t and t + d share the width - d steps ending at t.
-        blocks = np.zeros((self.U, self.T, self.T))
+        U, T = self.U, self.T
+        mass = self._mass(theta)
+        # Windows ending at t and t + d share the width - d steps ending at t:
+        # the d-th diagonals of the blocks, strided views of a (U, T * T) buffer.
+        flat = np.zeros((U, T * T))
         shared = np.zeros_like(mass)
-        steps = np.arange(self.T)
         for d in range(self.width - 1, -1, -1):
             j = self.width - d - 1
-            if j < self.T:
-                shared[:, j:] += mass[:, : self.T - j]
-            if d < self.T:
-                blocks[:, steps[: self.T - d], steps[d:]] = shared[:, : self.T - d]
-                blocks[:, steps[d:], steps[: self.T - d]] = shared[:, : self.T - d]
+            if j < T:
+                shared[:, j:] += mass[:, : T - j]
+            if d < T:
+                flat[:, d : (T - d) * T : T + 1] = shared[:, : T - d]
+                flat[:, d * T :: T + 1] = shared[:, : T - d]
+        blocks = flat.reshape(U, T, T)
         blocks *= self.pairs
         diag = self.lone.copy()  # a step that ends no row gets a 1 to itself
-        diag[self.ru, self.rt] = extra
-        blocks[:, steps, steps] += diag
+        np.put(diag, self.ends, extra)
+        flat[:, :: T + 1] += diag
         inv = _spd_inverse(blocks)
 
         def solve(r):
-            full = np.zeros((self.U, self.T, r.shape[1]))
-            full[self.ru, self.rt] = r
-            return (inv @ full)[self.ru, self.rt]
+            full = np.zeros((U * T, r.shape[1]))
+            full[self.ends] = r
+            return (inv @ full.reshape(U, T, -1)).reshape(U * T, -1)[self.ends]
 
         return solve
 
@@ -232,21 +264,22 @@ class _WindowLp:
         # G = P Theta Q': the band mass of each row, (rows, recipients),
         # summed over the row's cells.
         tq = theta[:nc] * self.q
-        flat = self.rows * nb + self.v[self.cols]
-        G = np.bincount(flat, tq[self.cols], minlength=m0 * nb).reshape(m0, nb)
+        G = np.bincount(self.row_recipient, tq[self.cols], minlength=m0 * nb).reshape(m0, nb)
         Z = solve_p(G)
         core = np.diag(np.bincount(self.v, tq * self.q, minlength=nb)) - G.T @ Z
-        e, f, k = self.e, self.f, self.e.size
+        e, k = self.e, self.e.size
         # Block (i, j) of S is e_i e_j core + theta_L f_i f_j, each (nb, nb).
-        ee, ff = np.outer(e, e)[:, :, None, None], np.outer(f, f)[:, :, None, None]
-        S = (ee * core + theta[nc] * ff).transpose(0, 2, 1, 3).reshape(k * nb, k * nb)
-        S[np.diag_indices_from(S)] += wy[m0:]
+        S = (self.ee * core + theta[nc] * self.ff).transpose(0, 2, 1, 3).reshape(k * nb, k * nb)
+        S[self.s_diag] += wy[m0:]
         S_inv = _spd_inverse(S)
 
         def solve(r):
+            out = np.empty(self.m)
             zp = solve_p(r[:m0, None])[:, 0]
-            yb = S_inv @ (r[m0:] - np.outer(e, G.T @ zp).ravel())
-            return np.concatenate([zp - Z @ (e @ yb.reshape(e.size, nb)), yb])
+            yb = out[m0:]
+            np.matmul(S_inv, (r[m0:].reshape(k, nb) - e[:, None] * (G.T @ zp)).ravel(), out=yb)
+            np.subtract(zp, Z @ (e @ yb.reshape(k, nb)), out=out[:m0])
+            return out
 
         return solve
 
@@ -262,14 +295,19 @@ class _WindowLp:
         def solve(r):
             dy = direct(r)
             res = r - self.mul(theta * self.tmul(dy)) - wy * dy
+            tol = _CG_TOL * np.abs(r).max()
+            if np.abs(res).max() <= tol:
+                return dy
             z = direct(res)
             p, rz = z, res @ z
             for _ in range(_CG_ITERS):
-                if rz <= 0.0 or np.abs(res).max() <= _CG_TOL * np.abs(r).max():
+                if rz <= 0.0:
                     break
                 Mp = self.mul(theta * self.tmul(p)) + wy * p
                 alpha = rz / (p @ Mp)
                 dy, res = dy + alpha * p, res - alpha * Mp
+                if np.abs(res).max() <= tol:
+                    break
                 z = direct(res)
                 rz, rz_old = res @ z, rz
                 p = z + (rz / rz_old) * p
@@ -283,17 +321,20 @@ class _WindowLp:
         """(feasible cells, their objective, dual bound)."""
         xc = np.clip(x[: self.nc], 0.0, self.hi[: self.nc])
         # Scale each cell by the fullest window that holds it, if over 1.
-        over = np.maximum(self._sums(self._mass(xc)), 1.0)
-        pad = np.concatenate([over, np.ones((self.U, self.width - 1))], axis=1)
-        fullest = np.max([pad[:, j : j + self.T] for j in range(self.width)], axis=0)
-        xc = xc / fullest[self.donor, self.step]
+        if self.width == 1:
+            xc = xc / np.maximum(self._per_row(xc), 1.0)[self.row]
+        else:
+            over = np.maximum(self._sums(self._mass(xc)), 1.0)
+            pad = np.concatenate([over, np.ones((self.U, self.width - 1))], axis=1)
+            fullest = np.max([pad[:, j : j + self.T] for j in range(self.width)], axis=0)
+            xc = xc / np.take(fullest, self.cell)
         if self.nb:
             # Scale each banded total above min(s) / gamma back down to it.
             sv = np.bincount(self.v, self.q * xc, minlength=self.nb)
             top = sv.min() / self.gamma
             scale = np.where(sv > top, top / np.where(sv > top, sv, 1.0), 1.0)
             xc = np.where(self.q > 0.0, xc * scale[self.v], xc)
-        yp = np.where(self.ineq, np.maximum(y, 0.0), y)
+        yp = np.maximum(y, self.y_floor)  # inequality duals clipped at 0, free ones kept
         slack = self.c - self.tmul(yp)
         bound = float(self.b @ yp + self.hi @ np.maximum(slack, 0.0))
         return xc, float(self.c[: self.nc] @ xc), bound
@@ -301,13 +342,15 @@ class _WindowLp:
     # -- Mehrotra predictor-corrector -------------------------------------
 
     def solve(self) -> IpmResult:
-        ineq = self.ineq
-        n, nin = self.hi.size, int(ineq.sum())
+        m, nin = self.m, self.nin
+        n = self.hi.size
         reg = _REG * float(np.abs(self.c).max() or 1.0)
         x = self.hi / 2.0
         t = self.hi - x
         z, v = np.ones(n), np.ones(n)
-        w, y = ineq.astype(float), ineq.astype(float)
+        w = np.zeros(m)
+        w[:nin] = 1.0
+        y = w.copy()
         best_x, best_obj, bound, err, stall = None, -np.inf, np.inf, np.inf, 0
         for it in range(MAX_ITERS + 1):
             # The best point and the lowest bound need not share an iterate.
@@ -327,42 +370,45 @@ class _WindowLp:
             ru = self.hi - x - t
             rd = self.c - self.tmul(y) - v + z
             theta = 1.0 / (z / x + v / t + reg)
-            wy = np.zeros_like(w)
-            wy[ineq] = w[ineq] / y[ineq]
+            wy = np.zeros(m)
+            np.divide(w[:nin], y[:nin], out=wy[:nin])
             solve = self.normal_solver(theta, wy)
 
             def direction(rxz, rtv, rwy):
+                # rwy holds the inequality rows only; w and dw stay 0 on the others.
                 h = rd - (rtv - v * ru) / t + rxz / x
-                k = np.zeros_like(rwy)
-                k[ineq] = rwy[ineq] / y[ineq]
+                k = np.zeros(m)
+                np.divide(rwy, y[:nin], out=k[:nin])
                 dy = solve(self.mul(theta * h) + k - rp)
                 dx = theta * (h - self.tmul(dy))
                 dt = ru - dx
-                dw = np.where(ineq, rp - self.mul(dx), 0.0)
+                dw = rp - self.mul(dx)
+                dw[nin:] = 0.0
                 dz = (rxz - z * dx) / x
                 dv = (rtv - v * dt) / t
                 ap = _step_to_boundary(
-                    np.concatenate([x, t, w[ineq]]), np.concatenate([dx, dt, dw[ineq]])
+                    np.concatenate([x, t, w[:nin]]), np.concatenate([dx, dt, dw[:nin]])
                 )
                 ad = _step_to_boundary(
-                    np.concatenate([z, v, y[ineq]]), np.concatenate([dz, dv, dy[ineq]])
+                    np.concatenate([z, v, y[:nin]]), np.concatenate([dz, dv, dy[:nin]])
                 )
                 return dx, dt, dw, dy, dz, dv, ap, ad
 
-            mu = (x @ z + t @ v + w[ineq] @ y[ineq]) / (2 * n + nin)
+            wi, yi = w[:nin], y[:nin]
+            mu = (x @ z + t @ v + wi @ yi) / (2 * n + nin)
             if not np.isfinite(mu):
                 break
-            dx, dt, dw, dy, dz, dv, ap, ad = direction(-x * z, -t * v, -w * y)
+            dx, dt, dw, dy, dz, dv, ap, ad = direction(-x * z, -t * v, -wi * yi)
             mu_aff = (
                 (x + ap * dx) @ (z + ad * dz)
                 + (t + ap * dt) @ (v + ad * dv)
-                + (w + ap * dw)[ineq] @ (y + ad * dy)[ineq]
+                + (wi + ap * dw[:nin]) @ (yi + ad * dy[:nin])
             ) / (2 * n + nin)
             target = (mu_aff / mu) ** 3 * mu
             dx, dt, dw, dy, dz, dv, ap, ad = direction(
                 target - x * z - dx * dz,
                 target - t * v - dt * dv,
-                np.where(ineq, target - w * y - dw * dy, 0.0),
+                target - wi * yi - dw[:nin] * dy[:nin],
             )
             ap, ad = _STEP * ap, _STEP * ad
             x, t, w = x + ap * dx, t + ap * dt, w + ap * dw

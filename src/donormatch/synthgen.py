@@ -25,7 +25,7 @@ from typing import List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .graph import DYNAMIC, STATIC, Donor, Recipient, Scenario, build_scenario
+from .graph import DYNAMIC, STATIC, Donor, Recipient, Scenario, build_scenario, integer_field
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEGREE = math.pi * EARTH_RADIUS_KM / 180.0
@@ -298,18 +298,12 @@ def config_from_dict(doc: Mapping, base_dir=None) -> GeneratorConfig:
         raise ValueError(f"availability block takes only {sorted(block)}, got {avail!r}")
     kwargs = {block[key]: float(value) for key, value in avail.items()}
 
-    known = {
-        "donor_count": int,
-        "recipient_count": int,
-        "edge_radius_km": float,
-        "static_fraction": float,
-        "horizon": int,
-        "rate_limit": int,
-        "seed": int,
-    }
-    for key, cast in known.items():
+    for key in ("donor_count", "recipient_count", "horizon", "rate_limit", "seed"):
         if key in doc:
-            kwargs[key] = cast(doc.pop(key))
+            kwargs[key] = integer_field(doc.pop(key), key)
+    for key in ("edge_radius_km", "static_fraction"):
+        if key in doc:
+            kwargs[key] = float(doc.pop(key))
     if "w0_range" in doc:
         lo, hi = doc.pop("w0_range")
         kwargs["w0_range"] = (float(lo), float(hi))

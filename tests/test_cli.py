@@ -181,6 +181,62 @@ def test_a_non_finite_config_number_is_a_config_error(overrides, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("donor_count", 2.7), ("recipient_count", True), ("horizon", 1.9), ("rate_limit", 1.5),
+     ("seed", 0.5), ("horizon", "30")],
+    ids=["donor-count-fraction", "recipient-count-bool", "horizon-fraction",
+         "rate-limit-fraction", "seed-fraction", "horizon-string"],
+)
+def test_an_integer_config_field_refuses_what_is_not_an_integer(field, value, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**CITY, field: value}))
+    assert main(["generate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integer_config_field_takes_an_integral_float(tmp_path):
+    whole = {"donor_count": 6.0, "recipient_count": 4.0, "horizon": 30.0, "rate_limit": 7.0,
+             "seed": 3.0}
+    for tag, doc in (("int", {k: int(v) for k, v in whole.items()}), ("float", whole)):
+        (tmp_path / f"{tag}.json").write_text(json.dumps({**CITY, **doc}))
+        assert main(["generate", str(tmp_path / f"{tag}.json"),
+                     "--out-dir", str(tmp_path / tag)]) == 0
+    assert filecmp.cmp(tmp_path / "int" / "scenario.json", tmp_path / "float" / "scenario.json",
+                       shallow=False)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda d: d.update(horizon=1.9), "horizon"),
+        (lambda d: d.update(rate_limit=1.5), "rate_limit"),
+        (lambda d: d["donors"][0].update(first_notify=1.5), "donor 'u' first_notify"),
+        (lambda d: d["donors"][0].update(first_notify=True), "donor 'u' first_notify"),
+    ],
+    ids=["horizon-fraction", "rate-limit-fraction", "first-notify-fraction", "first-notify-bool"],
+)
+def test_an_integer_scenario_field_refuses_what_is_not_an_integer(
+    change, field, tiny, tmp_path, capsys
+):
+    doc = json.loads(tiny.read_text())
+    for key in ("horizon", "rate_limit"):
+        doc[key] = float(doc[key])  # an integral float reads as the integer
+    assert main(["run", str(tiny), "rand", "--trials", "2", "--out-dir", str(tmp_path / "a")]) == 0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "rand", "--trials", "2", "--out-dir", str(tmp_path / "b")]) == 0
+    assert filecmp.cmp(tmp_path / "a" / "trials.csv", tmp_path / "b" / "trials.csv", shallow=False)
+    capsys.readouterr()
+    change(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "rand", "--trials", "2", "--out-dir", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"input error: {field} must be an integer")
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -355,6 +355,42 @@ def test_validate_scenario_names_each_violation(changes, message):
     assert any(message in v for v in validate_scenario(s)), validate_scenario(s)
 
 
+def test_validate_scenario_lists_every_violation_in_order():
+    s = build_scenario(
+        donors=[Donor("u0", 0, 0, 1), Donor("u1", 0, 0, 0), Donor("u2", 0, 0, 2)],
+        recipients=[
+            Recipient("A", 0, 0), Recipient("B", 0, 0, kind="dynamic"), Recipient("C", 0, 0)
+        ],
+        edges=[("u0", "A"), ("u0", "B"), ("u1", "B"), ("u2", "C")],
+        weights=[0.5, 0.5, 0.5, 0.5],
+        availability={"B": 0.5},
+        horizon=6,
+        rate_limit=2,
+    )
+    s.weights[0, 0], s.weights[3, 3] = -0.5, np.nan
+    s.availability[1, 1], s.availability[2, 2] = 1.5, 0.5
+    s.donor_schedule[0] = [1, 0, 0, 1, 0, 1]
+    s.donor_schedule[2, 3] = 2
+    s = dataclasses.replace(s, normalization=np.array([0.5, -1.0, np.nan]))
+    assert validate_scenario(s) == [
+        "donor u1 first_notify 0 < 1",
+        "weight -0.5 outside [0, 1] on edge ('u0', 'A') at t=1",
+        "weight nan outside [0, 1] on edge ('u2', 'C') at t=4",
+        "availability 1.5 outside [0, 1] for recipient B at t=2",
+        "static recipient C has availability below 1",
+        "donor u0 schedule gaps [3, 2] differ from K=2",
+        "donor u2 schedule has entries outside {0, 1}",
+        "normalization -1 is not >= 0 for recipient B",
+        "normalization nan is not >= 0 for recipient C",
+    ]
+
+
+def test_one_number_per_edge_builds_the_weights_of_its_length_t_list():
+    lists = _build(weights=[[0.3, 0.3], [1.0, 1.0]]).weights
+    numbers = _build(weights=[0.3, 1]).weights
+    assert numbers.dtype == lists.dtype and numbers.tobytes() == lists.tobytes()
+
+
 def _build(**changes):
     """build_scenario on one donor, static A and dynamic B, T = 2, with changes."""
     kwargs = dict(

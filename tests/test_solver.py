@@ -538,6 +538,54 @@ _LP_KINDS = {
 }
 
 
+@pytest.mark.parametrize(
+    "gamma", [0.0, 0.5, 1.0], ids=["no-band", "inequality-band", "equality-band"]
+)
+@pytest.mark.parametrize("width", [1, 3])
+def test_window_lp_operators_match_the_dense_matrix(width, gamma):
+    # A x, A'y, the packing solve and the normal solve of the interior point,
+    # each against the dense A built from the window incidence and the band:
+    # L - s_v <= 0 and gamma s_v - L <= 0 per recipient, or s_v - L = 0.
+    from donormatch.ipm import _WindowLp
+
+    rng = np.random.default_rng(900 + 10 * width + int(10 * gamma))
+    e, f = ([-1.0, gamma], [1.0, -1.0]) if gamma < 1.0 else ([1.0], [-1.0])
+    for _ in range(10):
+        s = random_instance(rng, max_donors=4, max_recipients=3, max_steps=8, cell_budget=None)
+        ce, ct = np.nonzero(rng.random(s.weights.shape) < 0.6)
+        if ce.size == 0:
+            continue
+        window = _window_cells(s, ce, ct, width)
+        _, _, rows, cols = window
+        nc, m0 = ce.size, window[0].size
+        nb = s.n_recipients if gamma > 0.0 else 0
+        v = s.edge_recipient[ce]
+        q = np.where(rng.random(nc) < 0.8, rng.uniform(0.1, 1.0, nc), 0.0)
+        n = nc + 1 if nb else nc
+        lp = _WindowLp(
+            s, ce, ct, rng.random(n), rng.uniform(0.5, 1.0, n), width, window, q, v, nb, gamma
+        )
+        A = np.zeros((m0 + len(e) * nb, n))
+        A[rows, cols] = 1.0
+        for i in range(len(e) if nb else 0):
+            for j in range(nb):
+                A[m0 + i * nb + j, :nc] = e[i] * q * (v == j)
+                A[m0 + i * nb + j, nc] = f[i]
+        x, y = rng.normal(size=n), rng.normal(size=A.shape[0])
+        np.testing.assert_allclose(lp.mul(x), A @ x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(lp.tmul(y), A.T @ y, rtol=0.0, atol=1e-12)
+
+        theta, extra = rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 1.0, A.shape[0])
+        r = rng.normal(size=(m0, 2))
+        P = A[:m0, :nc]
+        want = np.linalg.solve(P @ np.diag(theta[:nc]) @ P.T + np.diag(extra[:m0]), r)
+        got = lp._packing_solver(theta[:nc], extra[:m0])(r)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        r = rng.normal(size=A.shape[0])
+        want = np.linalg.solve(A @ np.diag(theta) @ A.T + np.diag(extra), r)
+        np.testing.assert_allclose(lp.normal_solver(theta, extra)(r), want, rtol=0.0, atol=1e-9)
+
+
 def _lp_cells(s, kind):
     """Cells, costs and upper bounds of one relaxation, built afresh."""
     rate = kind == "ratelimit_lp"
