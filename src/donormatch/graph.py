@@ -274,15 +274,20 @@ def build_scenario(
         first-notify day. Semantic problems (out-of-range weights and the
         like) are left to ``validate_scenario``; structural errors (unknown
         ids, wrong shapes or lengths, steps outside 1..T, a rate limit
-        below 1) raise ValueError here.
+        below 1, a horizon, rate limit or first-notify day that is not an
+        integer as ``integer_field`` reads one) raise ValueError here.
     """
-    donors = tuple(donors)
+    donors = tuple(
+        replace(d, first_notify=integer_field(d.first_notify, f"donor {d.id!r} first_notify"))
+        for d in donors
+    )
     recipients = tuple(recipients)
     edges = tuple((str(u), str(v)) for u, v in edges)
-    T = int(horizon)
+    T = integer_field(horizon, "horizon")
+    K = integer_field(rate_limit, "rate_limit")
     E, V = len(edges), len(recipients)
-    if int(rate_limit) < 1:
-        raise ValueError(f"rate_limit {rate_limit} < 1")
+    if K < 1:
+        raise ValueError(f"rate_limit {K} < 1")
 
     if isinstance(weights, np.ndarray):
         W = np.asarray(weights, dtype=float)
@@ -321,7 +326,7 @@ def build_scenario(
     m = None if normalization is None else _normalization_array(normalization, recipients)
 
     A = np.stack(
-        [fixed_schedule(d.first_notify, T, int(rate_limit)) for d in donors]
+        [fixed_schedule(d.first_notify, T, K) for d in donors]
     ) if donors else np.zeros((0, T), dtype=np.int8)
 
     return Scenario(
@@ -332,7 +337,7 @@ def build_scenario(
         availability=P,
         donor_schedule=A,
         horizon=T,
-        rate_limit=int(rate_limit),
+        rate_limit=K,
         normalization=m,
     )
 
@@ -598,9 +603,7 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             id=str(d["id"]),
             lat=float(d.get("lat", 0.0)),
             lon=float(d.get("lon", 0.0)),
-            first_notify=integer_field(
-                d.get("first_notify", 1), f"donor {d['id']!r} first_notify"
-            ),
+            first_notify=d.get("first_notify", 1),
         )
         for d in doc["donors"]
     ]
@@ -619,8 +622,8 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
         edges=[tuple(e) for e in doc["edges"]],
         weights=doc["weights"],
         availability=doc.get("availability") or {},
-        horizon=integer_field(doc["horizon"], "horizon"),
-        rate_limit=integer_field(doc["rate_limit"], "rate_limit"),
+        horizon=doc["horizon"],
+        rate_limit=doc["rate_limit"],
         normalization=doc.get("normalization"),
     )
 

@@ -161,8 +161,8 @@ def _draws(keys: np.ndarray, counter: int, shape: Sequence[int]) -> np.ndarray:
     g = np.random.Generator(bits)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, 0, counter], dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, counter], "key": None},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

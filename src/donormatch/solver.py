@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graph import DemandRealization, Scenario, scored_mask
-from .simplex import SimplexError, branch_and_bound, solve_lp
+from .simplex import REL_GAP, SimplexError, branch_and_bound, solve_lp
 from .windows import _induced_availability, _window_cells
 
 FIXEDTIME_MILP = "fixedtime_milp"
@@ -50,6 +50,7 @@ RATELIMIT_MILP = "ratelimit_milp"
 RATELIMIT_LP = "ratelimit_lp"
 
 _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
+_INTEGRAL_KINDS = (FIXEDTIME_MILP, RATELIMIT_MILP)
 
 # Largest dense simplex tableau, rows x (columns + rows) floats, of a
 # relaxation the simplex still solves; larger ones go to the interior point.
@@ -58,7 +59,7 @@ _RATE_KINDS = (RATELIMIT_MILP, RATELIMIT_LP)
 SIMPLEX_MAX_ENTRIES = 10_000
 
 # Largest relative gap, (bound - objective) / (1 + |objective|), accepted
-# from the interior point.
+# from any relaxation or closed form; branch and bound stops at its REL_GAP.
 MAX_CERTIFIED_GAP = 1e-7
 
 # Most binaries a banded integral solve may branch over: city_small at
@@ -241,12 +242,9 @@ def _solve_cells(
     if not integral and entries > SIMPLEX_MAX_ENTRIES:
         # Imported on first use: where no bytecode cache is kept, compiling
         # it takes about a seventh of the package's import time.
-        from .ipm import IpmError, relative_gap, solve_window_lp
+        from .ipm import solve_window_lp
 
         res = solve_window_lp(s, ce, ct, cfull, upfull, width, window, q, v, nb, gamma)
-        gap = relative_gap(res.objective, res.bound)
-        if gap > MAX_CERTIFIED_GAP:
-            raise IpmError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")
         return _assemble(s, kind, ce, ct, res.x, cost, gamma, res.bound, res.iterations)
     if integral and nc > MAX_BANDED_BINARIES:
         raise ValueError(
@@ -270,7 +268,7 @@ def _solve_cells(
     lp = solve_lp(cfull, A, b, upfull)
     if lp.status != "optimal":
         raise SimplexError("relaxation reported infeasible; empty matching exists")
-    return _assemble(s, kind, ce, ct, lp.x[:nc], cost, gamma)
+    return _assemble(s, kind, ce, ct, lp.x[:nc], cost, gamma, lp.bound, None)
 
 
 def _unit_knapsacks(
@@ -340,9 +338,14 @@ def _assemble(
     xcells: np.ndarray,
     cost: np.ndarray,
     gamma: float,
-    bound: float = np.nan,
-    iterations: Optional[int] = None,
+    bound: float,
+    iterations: Optional[int],
 ) -> LpSolution:
+    """The LpSolution of the cells' values, once its bound is within the gap its route allows."""
+    objective = float(cost @ xcells) if ce.size else 0.0
+    gap = (bound - objective) / (1.0 + abs(objective))
+    if not gap <= (REL_GAP if kind in _INTEGRAL_KINDS else MAX_CERTIFIED_GAP):
+        raise RuntimeError(f"{kind} at gamma {gamma:g}: certified gap {gap:.2g}")
     x = np.zeros((s.n_edges, s.horizon))
     raw = np.zeros(s.n_recipients)
     if ce.size:
@@ -355,5 +358,4 @@ def _assemble(
         scored = scored_mask(s.normalization, [v.id for v in s.recipients])
         sv[scored] = raw[scored] / s.normalization[scored]
     a = _induced_availability(s, x) if kind in _RATE_KINDS else None
-    objective = float(cost @ xcells) if ce.size else 0.0
     return LpSolution(kind, x, sv, a, objective, float(gamma), float(bound), iterations)

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import List, Mapping, Tuple, Union
 
@@ -64,8 +64,13 @@ class GeneratorConfig:
     seed: int = 0
 
 
-def validate_config(cfg: GeneratorConfig) -> None:
-    """Raise ValueError on the first config invariant violation.
+# The fields that hold whole numbers.
+_INTEGERS = ("donor_count", "recipient_count", "horizon", "rate_limit", "seed")
+
+
+def validate_config(cfg: GeneratorConfig) -> GeneratorConfig:
+    """Raise ValueError on the first config invariant violation, else return cfg
+    with its counts, horizon, rate_limit and seed as ints (``integer_field``).
 
     Every number must be finite: each check is written so that NaN fails it.
     """
@@ -88,6 +93,7 @@ def validate_config(cfg: GeneratorConfig) -> None:
         raise ValueError(f"mean_run_length must be finite and > 0, got {cfg.mean_run_length}")
     if not (cfg.horizon >= 1 and cfg.rate_limit >= 1):
         raise ValueError("horizon and rate_limit must be at least 1")
+    cfg = replace(cfg, **{name: integer_field(getattr(cfg, name), name) for name in _INTEGERS})
     if isinstance(cfg.population, UniformDisc):
         disc = cfg.population
         if not 0.0 < disc.radius_km < math.inf:
@@ -96,7 +102,7 @@ def validate_config(cfg: GeneratorConfig) -> None:
             raise ValueError(
                 f"uniform disc center must be finite, got ({disc.center_lat}, {disc.center_lon})"
             )
-        return
+        return cfg
     grid = np.asarray(cfg.population, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 3 or grid.shape[0] == 0:
         raise ValueError(f"population grid must be (N, 3), got shape {grid.shape}")
@@ -104,6 +110,7 @@ def validate_config(cfg: GeneratorConfig) -> None:
         raise ValueError("population grid must hold finite numbers only")
     if np.any(grid[:, 2] < 0) or grid[:, 2].sum() <= 0:
         raise ValueError("population grid weights must be nonnegative with a positive sum")
+    return cfg
 
 
 def haversine_km(a, b) -> np.ndarray:
@@ -177,7 +184,7 @@ def generate_city(cfg: GeneratorConfig) -> Scenario:
     availability profiles in recipient order), so a seed pins the full
     scenario.
     """
-    validate_config(cfg)
+    cfg = validate_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     U, V, T, K = cfg.donor_count, cfg.recipient_count, cfg.horizon, cfg.rate_limit
 
@@ -298,7 +305,7 @@ def config_from_dict(doc: Mapping, base_dir=None) -> GeneratorConfig:
         raise ValueError(f"availability block takes only {sorted(block)}, got {avail!r}")
     kwargs = {block[key]: float(value) for key, value in avail.items()}
 
-    for key in ("donor_count", "recipient_count", "horizon", "rate_limit", "seed"):
+    for key in _INTEGERS:
         if key in doc:
             kwargs[key] = integer_field(doc.pop(key), key)
     for key in ("edge_radius_km", "static_fraction"):

@@ -444,6 +444,31 @@ def test_build_scenario_refuses_each_malformed_input(changes, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"horizon": 2.9}, "horizon must be an integer, got 2.9"),
+        ({"horizon": True}, "horizon must be an integer, got True"),
+        ({"rate_limit": 1.7}, "rate_limit must be an integer, got 1.7"),
+        (
+            {"donors": [Donor("u", 0, 0, first_notify=1.5)]},
+            "donor 'u' first_notify must be an integer, got 1.5",
+        ),
+    ],
+    ids=["horizon-fraction", "horizon-bool", "rate-limit-fraction", "first-notify-fraction"],
+)
+def test_build_scenario_refuses_an_integer_argument_that_is_not_one(changes, message):
+    with pytest.raises(ValueError) as err:
+        _build(**changes)
+    assert message in str(err.value)
+
+
+def test_build_scenario_reads_an_integral_float_as_the_integer():
+    whole = _build(horizon=2.0, rate_limit=1.0, donors=[Donor("u", 0, 0, first_notify=1.0)])
+    assert scenario_to_dict(whole) == scenario_to_dict(_build())
+    assert type(whole.donors[0].first_notify) is int and type(whole.rate_limit) is int
+
+
 def test_per_step_maps_fill_missing_steps_with_the_recipients_default():
     s = _build(availability={"A": {"2": 0.5}, "B": {1: 0.25}}, weights=[{2: 0.1, 1: 0.2}, 0.5])
     assert s.availability.tolist() == [[1.0, 0.5], [0.25, 0.0]]

@@ -147,6 +147,22 @@ def test_config_invariant_violations_raise(overrides, message):
         validate_config(disc_config(**overrides))
 
 
+@pytest.mark.parametrize("field", ["donor_count", "recipient_count", "horizon", "rate_limit", "seed"])
+def test_config_refuses_an_integer_field_that_is_not_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 3.5"):
+        validate_config(disc_config(**{field: 3.5}))
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+        validate_config(disc_config(**{field: True}))
+
+
+def test_an_integral_float_config_generates_the_same_city(tmp_path):
+    floats = {k: float(v) for k, v in dataclasses.asdict(disc_config()).items()
+              if k in ("donor_count", "recipient_count", "horizon", "rate_limit", "seed")}
+    save_scenario(generate_city(disc_config()), tmp_path / "int.json")
+    save_scenario(generate_city(disc_config(**floats)), tmp_path / "float.json")
+    assert filecmp.cmp(tmp_path / "int.json", tmp_path / "float.json", shallow=False)
+
+
 def test_degenerate_population_grids_raise():
     with pytest.raises(ValueError, match="positive sum"):
         validate_config(disc_config(population=np.zeros((4, 3))))
