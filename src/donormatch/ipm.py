@@ -45,10 +45,10 @@ from typing import Tuple
 import numpy as np
 
 from .graph import Scenario
+from .simplex import MAX_CERTIFIED_GAP
 
 GAP_TOL = 1e-9  # relative gap at which a solve stops
-STALL_GAP_TOL = 1e-7  # relative gap accepted once the gap stops improving
-STALL_ITERS = 3  # iterations without halving the gap that count as a stall
+STALL_ITERS = 3  # iterations without halving the gap after which MAX_CERTIFIED_GAP will do
 MAX_ITERS = 100
 _STEP = 0.9995  # fraction of the way to the boundary a step goes
 _REG = 1e-6  # primal regularization, relative to the largest cost
@@ -361,7 +361,7 @@ class _WindowLp:
             new_err = relative_gap(best_obj, bound)
             stall = 0 if new_err < 0.5 * err or err == np.inf else stall + 1
             err = min(err, new_err)
-            if err <= GAP_TOL or (stall >= STALL_ITERS and err <= STALL_GAP_TOL):
+            if err <= GAP_TOL or (stall >= STALL_ITERS and err <= MAX_CERTIFIED_GAP):
                 return IpmResult(best_x, best_obj, bound, it)
             if it == MAX_ITERS:
                 break

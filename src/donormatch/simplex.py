@@ -1,13 +1,11 @@
-"""Dense bounded-variable simplex for problems of the form
+"""Dense bounded-variable simplex for packing programs,
 
-    max c.x   s.t.  A x <= b,  lower <= x <= upper.
+    max c.x   s.t.  A x <= b,  0 <= x <= upper,  with b >= 0.
 
-Two-phase: rows whose right-hand side turns negative after the lower-bound
-shift get an artificial variable, phase 1 drives the artificials to zero,
-phase 2 optimizes the real objective from the feasible basis. Nonbasic
-variables may sit at either bound (the usual bounded-variable rules, with
-bound flips). Dantzig pricing with a Bland fallback after a long run of
-degenerate steps.
+As b >= 0, x = 0 is feasible: the slack basis is a first vertex, and one
+primal phase optimizes from it. Nonbasic variables may sit at either
+bound (the usual bounded-variable rules, with bound flips). Dantzig
+pricing with a Bland fallback after a long run of degenerate steps.
 
 Desk-scale instances only: the tableau is dense and each pivot costs
 O(rows x columns).
@@ -15,9 +13,9 @@ O(rows x columns).
 An optimal result keeps its final tableau. Its bound comes from the row
 duals read off that tableau, y = -d over the slack columns, as
 b.y + max over the box of (c - A'y).x, so a relaxation certifies itself.
-``branch_and_bound`` adds binary columns by best-first search over these,
-and re-optimizes each child from its parent's final tableau by the dual
-simplex instead of solving it afresh.
+``branch_and_bound`` adds binary columns by best-first search over these;
+each child fixes one binary and regains feasibility by dual simplex pivots
+from its parent's final tableau, instead of being solved afresh.
 """
 
 from __future__ import annotations
@@ -34,9 +32,13 @@ PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITERS = 20000
 
-# Branch and bound: integrality tolerance, relative stopping gap, node budget.
+# Largest relative gap, (bound - objective) / (1 + |objective|), the solver
+# accepts from any route. Branch and bound stops once nothing open lies more
+# than max(1e-9, MAX_CERTIFIED_GAP |objective|) above its incumbent.
+MAX_CERTIFIED_GAP = 1e-7
+
+# Branch and bound: integrality tolerance, node budget.
 INT_TOL = 1e-6
-REL_GAP = 1e-6
 MAX_NODES = 20000
 
 _LOWER, _UPPER, _BASIC = 0, 1, 2
@@ -48,93 +50,44 @@ class SimplexError(RuntimeError):
 
 @dataclass
 class LpResult:
-    status: str               # "optimal" or "infeasible"
+    status: str               # "optimal", or "infeasible" for a child
     x: Optional[np.ndarray]   # None when infeasible
     objective: float
     bound: float = np.nan     # the row duals' upper bound on the optimum
-    # Final tableau, basis, statuses, xB, shifted bounds, phase-2 reduced
-    # costs, lower-bound shift and upper bounds, for re-optimizing a child.
+    # Final tableau, basis, statuses, xB, the room of each column above its
+    # lower bound, reduced costs, and the lower and upper bounds (equal where
+    # a child fixed a binary), for re-optimizing a child.
     _final: Optional[tuple] = field(default=None, repr=False)
 
 
-def solve_lp(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    upper: np.ndarray,
-    lower: Optional[np.ndarray] = None,
-) -> LpResult:
-    """Maximize c.x subject to A x <= b and lower <= x <= upper.
+def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, upper: np.ndarray) -> LpResult:
+    """Maximize c.x subject to A x <= b and 0 <= x <= upper.
 
-    Parameters
-    ----------
-    c : ndarray, shape (n,)
-    A : ndarray, shape (m, n)
-    b : ndarray, shape (m,)
-    upper : ndarray, shape (n,)
-        Finite or +inf per-variable upper bounds.
-    lower : ndarray, shape (n,), optional
-        Per-variable lower bounds, default all zero. Branch-and-bound fixes
-        variables by setting lower = upper.
-
-    Returns
-    -------
-    LpResult
-        status "optimal" with x, the objective and the duals' bound, or
-        "infeasible".
-        Unboundedness cannot occur for box-bounded structurals and raises
-        SimplexError, as do stalls past the iteration cap.
+    c, A, b and upper have shapes (n,), (m, n), (m,) and (n,). b and upper
+    (which may be +inf) must be nonnegative, so that x = 0 is feasible; a
+    negative or NaN entry raises ValueError. Returns the "optimal" LpResult
+    with x, the objective and the duals' bound. Unboundedness cannot occur
+    for box-bounded structurals and raises SimplexError, as do stalls past
+    the iteration cap.
     """
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(len(b), len(c)) if len(c) else np.zeros((len(b), 0))
+    A = np.asarray(A, dtype=float).reshape(len(b), len(c))
     b = np.asarray(b, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    if not ((b >= 0.0).all() and (upper >= 0.0).all()):
+        raise ValueError("the simplex needs b >= 0 and upper >= 0, so that x = 0 is feasible")
     m, n = A.shape
 
-    if lower is None:
-        lo = np.zeros(n)
-    else:
-        lo = np.asarray(lower, dtype=float)
-    if np.any(lo > upper + 1e-12):
-        return LpResult("infeasible", None, -np.inf)
-
-    ub = np.maximum(upper - lo, 0.0)
-    rhs = b - A @ lo if n else b.astype(float).copy()
-
-    # Equality form: rows with negative rhs are negated and get an artificial.
-    sign = np.where(rhs < 0, -1.0, 1.0)
-    art_rows = np.flatnonzero(rhs < 0)
-    n_art = art_rows.size
-    ncols = n + m + n_art
-
-    M = np.zeros((m, ncols))
-    if n:
-        M[:, :n] = A * sign[:, None]
-    M[np.arange(m), n + np.arange(m)] = sign
-    M[art_rows, n + m + np.arange(n_art)] = 1.0
-
-    u_all = np.concatenate([ub, np.full(m, np.inf), np.full(n_art, np.inf)])
-    xB = rhs * sign
+    # The slack basis: every structural at 0, every slack at its row's b.
+    M = np.hstack([A, np.eye(m)])
+    u_all = np.concatenate([upper, np.full(m, np.inf)])
+    xB = b.copy()
     basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    status = np.full(ncols, _LOWER, dtype=np.int8)
+    status = np.full(n + m, _LOWER, dtype=np.int8)
     status[basis] = _BASIC
-
-    if n_art:
-        c1 = np.zeros(ncols)
-        c1[n + m :] = -1.0
-        d1 = c1 - c1[basis] @ M
-        _pivot_until_optimal(M, xB, basis, status, u_all, d1)
-        art_mask = basis >= n + m
-        if xB[art_mask].sum() > FEAS_TOL:
-            return LpResult("infeasible", None, -np.inf)
-        u_all[n + m :] = 0.0
-
-    c2 = np.zeros(ncols)
-    c2[:n] = c
-    d2 = c2 - c2[basis] @ M
-    _pivot_until_optimal(M, xB, basis, status, u_all, d2)
-    return _finish(c, A, b, (M, basis, status, xB, u_all, d2, lo, upper))
+    d = np.concatenate([c, np.zeros(m)])
+    _pivot_until_optimal(M, xB, basis, status, u_all, d)
+    return _finish(c, A, b, (M, basis, status, xB, u_all, d, np.zeros(n), upper))
 
 
 def _finish(c, A, b, final) -> LpResult:
@@ -146,7 +99,7 @@ def _finish(c, A, b, final) -> LpResult:
     x[basis[struct_basic]] = xB[struct_basic]
     x = np.clip(x + lo, lo, up)
 
-    resid = A @ x - b if n else -b
+    resid = A @ x - b
     if resid.size and resid.max() > FEAS_TOL * 10 * max(1.0, np.abs(b).max()):
         raise SimplexError(f"solution violates a row by {resid.max():g}")
     y = np.maximum(-d[n : n + b.size], 0.0)
@@ -215,12 +168,11 @@ def branch_and_bound(
     Returns (x, bound, nodes): the best integral point, an upper bound on
     the optimum (the largest relaxation value open when the search stops,
     else c.x) and the nodes popped. A node LP failure, or a search past
-    MAX_NODES nodes, raises SimplexError.
+    MAX_NODES nodes, raises SimplexError; a negative or NaN entry of b or
+    upper raises ValueError.
     """
     c, b, upper = (np.asarray(v, dtype=float) for v in (c, b, upper))
     A = np.asarray(A, dtype=float).reshape(b.size, c.size)
-    if (b < 0.0).any():
-        raise ValueError("branch and bound needs b >= 0, so that x = 0 is feasible")
     best_x, best_obj = np.zeros(c.size), 0.0
     counter = itertools.count()
     heap = []
@@ -236,7 +188,7 @@ def branch_and_bound(
         nodes += 1
         if nodes > MAX_NODES:
             raise SimplexError(f"node budget {MAX_NODES} exhausted")
-        if -neg_bound <= best_obj + max(1e-9, REL_GAP * abs(best_obj)):
+        if -neg_bound <= best_obj + max(1e-9, MAX_CERTIFIED_GAP * abs(best_obj)):
             return best_x, max(-neg_bound, best_obj), nodes  # nothing open beats it
 
         x = res.x

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import inspect
 import pathlib
 import re
@@ -45,6 +46,22 @@ def test_the_names_the_readme_demos_and_benchmark_use_are_exported():
             used.setdefault(name, str(path.relative_to(ROOT)))
     assert len(used) >= 20
     assert {n: where for n, where in used.items() if not hasattr(donormatch, n)} == {}
+
+
+def test_the_constants_the_readme_quotes_have_the_values_it_gives():
+    # The README quotes a constant as "`module.NAME` (value" followed by ")"
+    # or ", "; a value may group its thousands with commas, as in 10,000.
+    text = (ROOT / "README.md").read_text()
+    quoted = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]+)`\s+\(([-+.\w,]+?)(?:,\s|\))", text)
+    assert {name for _, name, _ in quoted} >= {
+        "SIMPLEX_MAX_ENTRIES", "MAX_CERTIFIED_GAP", "MAX_BANDED_BINARIES"
+    }
+    wrong = {}
+    for module, name, value in quoted:
+        actual = getattr(importlib.import_module(f"donormatch.{module}"), name)
+        if actual != float(value.replace(",", "")):
+            wrong[f"{module}.{name}"] = (value, actual)
+    assert wrong == {}
 
 
 def test_every_call_the_benchmark_makes_binds_to_the_current_signature():

@@ -1,5 +1,5 @@
 """Branch and bound, ``simplex.branch_and_bound``, against enumeration, and
-its warm-started children against cold solves."""
+its warm-started children against HiGHS."""
 
 from __future__ import annotations
 
@@ -8,10 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_instance, random_realization
 from donormatch import simplex, solver
-from donormatch.simplex import INT_TOL, REL_GAP, _child, branch_and_bound, solve_lp
+from donormatch.simplex import INT_TOL, MAX_CERTIFIED_GAP, _child, branch_and_bound, solve_lp
 
 
 def brute_best(c, A, b):
@@ -59,15 +60,15 @@ def test_random_binary_programs_match_enumeration(seed):
     assert np.isin(x, (0.0, 1.0)).all() and np.all(A @ x <= b + 1e-9)
     assert c @ x == pytest.approx(ref, abs=1e-7)
     assert bound >= c @ x
-    assert bound - c @ x <= max(1e-9, REL_GAP * abs(c @ x))
+    assert bound - c @ x <= max(1e-9, MAX_CERTIFIED_GAP * abs(c @ x))
 
 
 def children(c, A, b, upper, n_binary, levels=3):
-    """(warm, cold) results of every child in the first ``levels`` levels of the tree.
+    """(warm, ref) results of every child in the first ``levels`` levels of the tree.
 
     Each node branches on its most fractional binary, as branch_and_bound
-    does. warm is ``_child`` on a copy of the parent's final tableau; cold
-    is ``solve_lp`` afresh under the child's bounds. The dual pivots must
+    does. warm is ``_child`` on a copy of the parent's final tableau; ref
+    is HiGHS on the child's bounds. The dual pivots must
     keep the tableau dual feasible, so the primal pass that ends ``_child``
     starts from an optimal tableau.
     """
@@ -86,7 +87,8 @@ def children(c, A, b, upper, n_binary, levels=3):
                 (lo_child if value else up_child)[j] = value
                 with mock.patch.object(simplex, "_pivot_until_optimal", confirm_optimal):
                     warm = _child(c, A, b, tuple(a.copy() for a in res._final), j, value)
-                out.append((warm, solve_lp(c, A, b, up_child, lo_child)))
+                bounds = list(zip(lo_child, up_child))
+                out.append((warm, linprog(-c, A_ub=A, b_ub=b, bounds=bounds, method="highs")))
                 if warm.status == "optimal":
                     below.append((warm, lo_child, up_child))
         layer = below
@@ -104,10 +106,11 @@ def confirm_optimal(M, xB, basis, status, u_all, d):
     _pivot_until_optimal(M, xB, basis, status, u_all, d)
 
 
-def assert_same(warm, cold):
-    assert warm.status == cold.status
-    if cold.status == "optimal":
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+def assert_same(warm, ref):
+    """warm, an LpResult, agrees with ref, HiGHS's result (status 0 optimal, 2 infeasible)."""
+    assert (warm.status, ref.status) in (("optimal", 0), ("infeasible", 2))
+    if ref.status == 0:
+        assert warm.objective == pytest.approx(-ref.fun, abs=1e-9)
         assert warm.bound >= warm.objective - 1e-12
 
 
@@ -120,9 +123,9 @@ def test_warm_children_match_cold_solves_on_random_programs():
         b = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.9)  # some rows at b = 0
         # A binary capped at 0.5 can branch while nonbasic at its upper bound.
         upper = np.where(rng.random(n) < 0.15, 0.5, 1.0)
-        for warm, cold in children(rng.normal(size=n), A, b, upper, n):
-            assert_same(warm, cold)
-            counts[cold.status] += 1
+        for warm, ref in children(rng.normal(size=n), A, b, upper, n):
+            assert_same(warm, ref)
+            counts[warm.status] += 1
     assert counts["optimal"] >= 150 and counts["infeasible"] >= 40
 
 
@@ -142,8 +145,8 @@ def test_warm_children_match_cold_solves_on_banded_instances(monkeypatch):
             solve(s, r, float(rng.choice([0.5, 1.0])))
     compared = 0
     for c, A, b, upper, n_binary in programs:
-        for warm, cold in children(c, A, b, upper, n_binary):
-            assert_same(warm, cold)
+        for warm, ref in children(c, A, b, upper, n_binary):
+            assert_same(warm, ref)
             compared += 1
     assert compared >= 150
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from donormatch.simplex import SimplexError, solve_lp
+from donormatch.simplex import SimplexError, _child, solve_lp
 
 
 def test_single_variable_capped_by_row():
@@ -40,33 +40,42 @@ def test_no_variables():
     assert res.objective == 0.0
 
 
+def fixed(c, A, b, upper, *fixings):
+    """The root LP re-optimized by ``_child`` after each (j, value) fixing in turn."""
+    c, A, b = np.asarray(c, float), np.asarray(A, float), np.asarray(b, float)
+    res = solve_lp(c, A, b, upper)
+    for j, value in fixings:
+        assert res.status == "optimal"
+        res = _child(c, A, b, res._final, j, value)
+    return res
+
+
 def test_fixed_variables_shift_rhs_negative():
-    # Fixing x1 = 1 leaves x2 <= 0.5 via phase 1.
-    res = solve_lp(
-        c=[0.0, 1.0],
-        A=[[1.0, 1.0]],
-        b=[1.5],
-        upper=[1.0, 1.0],
-        lower=[1.0, 0.0],
-    )
+    # Fixing x1 = 1 shifts the row's room to 0.5, which the root's x2 = 1 breaks.
+    res = fixed([0.0, 1.0], [[1.0, 1.0]], [1.5], [1.0, 1.0], (0, 1.0))
     assert res.status == "optimal"
     assert res.x == pytest.approx([1.0, 0.5], abs=1e-9)
+    assert res.objective == pytest.approx(0.5, abs=1e-9) and res.bound >= 0.5 - 1e-12
 
 
 def test_infeasible_fixing_detected():
-    res = solve_lp(
-        c=[1.0, 1.0],
-        A=[[1.0, 1.0]],
-        b=[1.0],
-        upper=[1.0, 1.0],
-        lower=[1.0, 1.0],
-    )
-    assert res.status == "infeasible"
+    res = fixed([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0], (0, 1.0), (1, 1.0))
+    assert res.status == "infeasible" and res.x is None
 
 
 def test_lower_above_upper_is_infeasible():
-    res = solve_lp(c=[1.0], A=[[1.0]], b=[2.0], upper=[0.0], lower=[1.0])
+    res = fixed([1.0], [[1.0]], [2.0], [0.0], (0, 1.0))
     assert res.status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "b, upper",
+    [([-0.5], [1.0]), ([np.nan], [1.0]), ([1.0], [-1.0]), ([1.0], [np.nan])],
+    ids=["negative b", "NaN b", "negative upper", "NaN upper"],
+)
+def test_a_program_where_zero_may_be_infeasible_is_refused(b, upper):
+    with pytest.raises(ValueError, match="b >= 0 and upper >= 0"):
+        solve_lp(c=[1.0], A=[[1.0]], b=b, upper=upper)
 
 
 def test_degenerate_redundant_rows():
@@ -84,30 +93,19 @@ def test_random_lp_matches_scipy(seed):
     A = rng.normal(size=(m, n))
     b = rng.uniform(0.2, 2.0, size=m)
     upper = rng.uniform(0.1, 2.0, size=n)
-    lower = np.zeros(n)
-    if seed % 3 == 0:
-        lower = upper * rng.uniform(0.0, 0.9, size=n)
-    if seed % 5 == 0 and n >= 2:
-        lower[0] = upper[0]  # a fixed variable
 
-    ours = None
     try:
-        ours = solve_lp(c, A, b, upper, lower)
+        ours = solve_lp(c, A, b, upper)
     except SimplexError:
         pytest.fail("simplex error on a plain random LP")
 
-    ref = linprog(
-        -c, A_ub=A, b_ub=b, bounds=list(zip(lower, upper)), method="highs"
-    )
-    if ref.status == 2:
-        assert ours.status == "infeasible"
-    else:
-        assert ref.status == 0
-        assert ours.status == "optimal"
-        assert ours.objective == pytest.approx(-ref.fun, abs=2e-7)
-        assert np.all(A @ ours.x <= b + 1e-6)
-        assert np.all(ours.x >= lower - 1e-9)
-        assert np.all(ours.x <= upper + 1e-9)
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)), method="highs")
+    assert ref.status == 0
+    assert ours.status == "optimal"
+    assert ours.objective == pytest.approx(-ref.fun, abs=2e-7)
+    assert np.all(A @ ours.x <= b + 1e-6)
+    assert np.all(ours.x >= -1e-9)
+    assert np.all(ours.x <= upper + 1e-9)
 
 
 def test_a_degenerate_stall_switches_to_blands_rule_and_still_solves():
